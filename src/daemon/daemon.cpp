@@ -244,11 +244,8 @@ Result<std::vector<std::uint8_t>> GekkoDaemon::on_truncate_metadata_(
     const net::Message& msg) {
   auto req = proto::TruncateRequest::decode(payload_view(msg));
   if (!req) return req.status();
-  // Verify existence first: truncate of a missing file must ENOENT,
-  // and a size-set merge would otherwise resurrect it.
-  auto md = metadata_->get(req->path);
-  if (!md) return md.status();
-  if (md->is_directory()) return Errc::is_directory;
+  // set_size checks existence (ENOENT) and refuses directories under the
+  // kv write lock, so an unlink racing the truncate cannot be undone.
   GEKKO_RETURN_IF_ERROR(metadata_->set_size(req->path, req->new_size));
   return std::vector<std::uint8_t>{};
 }
@@ -609,6 +606,8 @@ void GekkoDaemon::publish_backend_metrics_() {
   registry_->gauge("kv.gets").set(static_cast<std::int64_t>(ks.gets));
   registry_->gauge("kv.deletes").set(static_cast<std::int64_t>(ks.deletes));
   registry_->gauge("kv.merges").set(static_cast<std::int64_t>(ks.merges));
+  registry_->gauge("kv.merge_operands_folded").set(
+      static_cast<std::int64_t>(ks.merge_operands_folded));
   registry_->gauge("kv.flushes").set(static_cast<std::int64_t>(ks.flushes));
   registry_->gauge("kv.compactions").set(
       static_cast<std::int64_t>(ks.compactions));

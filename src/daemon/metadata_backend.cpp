@@ -28,12 +28,9 @@ Result<proto::Metadata> MetadataBackend::get(std::string_view path) {
 }
 
 Result<proto::Metadata> MetadataBackend::remove(std::string_view path) {
-  auto value = db_->get(path);
+  auto value = db_->remove_existing(path);
   if (!value) return value.status();
-  auto md = proto::Metadata::decode(*value);
-  if (!md) return md.status();
-  GEKKO_RETURN_IF_ERROR(db_->remove_existing(path));
-  return md;
+  return proto::Metadata::decode(*value);
 }
 
 Status MetadataBackend::create_batch(
@@ -84,13 +81,20 @@ Status MetadataBackend::remove_batch(const std::vector<std::string>& paths,
 Status MetadataBackend::update_size(std::string_view path,
                                     std::uint64_t observed_size,
                                     std::int64_t mtime_ns) {
-  return db_->merge(
+  return db_->merge_existing(
       path, encode_size_operand(SizeOp::grow_to, observed_size, mtime_ns));
 }
 
 Status MetadataBackend::set_size(std::string_view path,
                                  std::uint64_t new_size) {
-  return db_->merge(path, encode_size_operand(SizeOp::set_to, new_size, 0));
+  return db_->merge_existing(
+      path, encode_size_operand(SizeOp::set_to, new_size, 0),
+      [](std::string_view value) -> Status {
+        auto md = proto::Metadata::decode(value);
+        if (!md) return md.status();
+        if (md->is_directory()) return Errc::is_directory;
+        return Status::ok();
+      });
 }
 
 Result<std::vector<proto::Dirent>> MetadataBackend::dirents(

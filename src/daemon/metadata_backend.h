@@ -30,8 +30,9 @@ class MetadataBackend {
   Result<proto::Metadata> get(std::string_view path);
 
   /// Remove and return the old record (the client uses its size to
-  /// decide whether chunk cleanup RPCs are needed). Errc::not_found if
-  /// absent.
+  /// decide whether chunk cleanup RPCs are needed), read by the same
+  /// locked lookup that removes it, so a concurrent size update is
+  /// either in the returned size or refused. Errc::not_found if absent.
   Result<proto::Metadata> remove(std::string_view path);
 
   /// Batched create: ONE KV lock acquisition and WAL commit for the
@@ -56,11 +57,15 @@ class MetadataBackend {
                       std::vector<proto::Metadata>* old_mds);
 
   /// Contention-free size fold (merge operand, see metadata_merge.h).
+  /// Applies only to a live path: Errc::not_found for a missing or
+  /// unlinked one, and nothing is written (a late write never
+  /// resurrects an unlinked file).
   Status update_size(std::string_view path, std::uint64_t observed_size,
                      std::int64_t mtime_ns);
 
-  /// Set exact size (truncate). Read-modify-write is acceptable here;
-  /// truncate is rare in HPC workloads.
+  /// Set exact size (truncate), as a merge conditional on the path
+  /// existing and not being a directory (Errc::not_found /
+  /// Errc::is_directory), checked under the kv write lock.
   Status set_size(std::string_view path, std::uint64_t new_size);
 
   /// Direct children of `dir` stored on THIS daemon (one shard of the

@@ -193,12 +193,29 @@ Status DB::erase(std::string_view key, const WriteOptions& wo) {
 
 Status DB::merge(std::string_view key, std::string_view operand,
                  const WriteOptions& wo) {
+  return merge_(key, operand, /*must_exist=*/false, {}, wo);
+}
+
+Status DB::merge_existing(std::string_view key, std::string_view operand,
+                          const ValuePredicate& pred,
+                          const WriteOptions& wo) {
+  return merge_(key, operand, /*must_exist=*/true, pred, wo);
+}
+
+Status DB::merge_(std::string_view key, std::string_view operand,
+                  bool must_exist, const ValuePredicate& pred,
+                  const WriteOptions& wo) {
   if (!options_.merge_operator) {
     return Status{Errc::not_supported, "no merge operator configured"};
   }
   WriteBatch batch;
   batch.merge(key, operand);
-  Status st = write(batch, wo);
+  throttle_();
+  UniqueLock lock(mutex_);
+  if (background_error_set_) return background_error_;
+  GEKKO_RETURN_IF_ERROR(
+      bound_chain_locked_(key, operand, must_exist, pred, &batch));
+  Status st = write_locked_(batch, wo.sync || options_.wal_sync, lock);
   if (st.is_ok()) ops_.merges.fetch_add(1, std::memory_order_relaxed);
   return st;
 }
@@ -252,19 +269,57 @@ Status DB::insert(std::string_view key, std::string_view value,
   return st;
 }
 
-Status DB::remove_existing(std::string_view key, const WriteOptions& wo) {
+Result<std::string> DB::remove_existing(std::string_view key,
+                                        const WriteOptions& wo) {
   throttle_();
   UniqueLock lock(mutex_);
   if (background_error_set_) return background_error_;
   LookupResult lr;
   GEKKO_RETURN_IF_ERROR(lookup_locked_(key, versions_.last_sequence(), &lr));
   if (!lookup_exists(lr)) return Errc::not_found;
+  GEKKO_ASSIGN_OR_RETURN(std::string old_value, resolve_(key, lr));
 
   WriteBatch batch;
   batch.erase(key);
-  Status st = write_locked_(batch, wo.sync || options_.wal_sync, lock);
-  if (st.is_ok()) ops_.deletes.fetch_add(1, std::memory_order_relaxed);
-  return st;
+  GEKKO_RETURN_IF_ERROR(
+      write_locked_(batch, wo.sync || options_.wal_sync, lock));
+  ops_.deletes.fetch_add(1, std::memory_order_relaxed);
+  return old_value;
+}
+
+Status DB::bound_chain_locked_(std::string_view key, std::string_view operand,
+                              bool must_exist, const ValuePredicate& pred,
+                              WriteBatch* batch) {
+  const MemTable::ChainTop top =
+      mem_->chain_top(key, kMaxSuccessiveMerges - 1);
+  if (top.base == LookupState::deleted) {
+    // Never fold across a tombstone: the chain reads as it always did.
+    if (must_exist) return Errc::not_found;
+    return Status::ok();
+  }
+  if (top.base == LookupState::found &&
+      top.operands + 1 < kMaxSuccessiveMerges && !pred) {
+    return Status::ok();  // a short chain on a live base in mem_: stack
+  }
+  // The K-th operand, a base outside mem_, or a predicate to check:
+  // resolve the key once and commit the fold as an ordinary value.
+  LookupResult lr;
+  GEKKO_RETURN_IF_ERROR(lookup_locked_(key, versions_.last_sequence(), &lr));
+  if (must_exist && !lookup_exists(lr)) return Errc::not_found;
+  if (lr.state == LookupState::deleted) return Status::ok();
+  std::string folded;
+  if (pred) {
+    GEKKO_ASSIGN_OR_RETURN(std::string current, resolve_(key, lr));
+    GEKKO_RETURN_IF_ERROR(pred(current));
+    folded = options_.merge_operator->merge(key, &current, operand);
+  } else {
+    // One full_merge over base, operands and this operand (newest).
+    lr.pending_merges.insert(lr.pending_merges.begin(), std::string(operand));
+    GEKKO_ASSIGN_OR_RETURN(folded, fold_merges_(key, lr));
+  }
+  batch->clear();
+  batch->put(key, folded);
+  return Status::ok();
 }
 
 Status DB::insert_many(
@@ -328,13 +383,7 @@ Status DB::remove_many(const std::vector<std::string>& keys,
       (*out)[i] = Errc::not_found;
       continue;
     }
-    if (!lr.pending_merges.empty()) {
-      auto folded = fold_merges_(key, lr);
-      if (!folded) return folded.status();
-      (*old_values)[i] = std::move(*folded);
-    } else {
-      (*old_values)[i] = std::move(lr.value);
-    }
+    GEKKO_ASSIGN_OR_RETURN((*old_values)[i], resolve_(key, lr));
     batch.erase(key);
     in_batch.insert(key);
     ++accepted;
@@ -709,15 +758,11 @@ Status DB::compact_level_(int level, UniqueLock& lock, bool unlocked_io) {
       if (!options_.merge_operator) {
         return Status{Errc::internal, "merge records without merge operator"};
       }
-      std::string acc;
-      const std::string* existing = has_base ? &base->value : nullptr;
-      if (existing) acc = *existing;
-      bool have_acc = existing != nullptr;
-      for (auto it = merges.rbegin(); it != merges.rend(); ++it) {
-        acc = options_.merge_operator->merge(
-            user_key, have_acc ? &acc : nullptr, (*it)->value);
-        have_acc = true;
-      }
+      std::vector<std::string> operands;  // newest first
+      operands.reserve(merges.size());
+      for (const Ver* m : merges) operands.push_back(m->value);
+      const std::string acc = options_.merge_operator->full_merge(
+          user_key, has_base ? &base->value : nullptr, operands);
       GEKKO_RETURN_IF_ERROR(emit(
           make_internal_key(user_key, newest_seq, ValueType::value), acc));
     }
@@ -843,20 +888,18 @@ Result<std::string> DB::fold_merges_(std::string_view key,
   if (!options_.merge_operator) {
     return Status{Errc::internal, "merge records without merge operator"};
   }
-  const std::string* existing =
-      lr.state == LookupState::found ? &lr.value : nullptr;
-  std::string acc;
-  bool have_acc = false;
-  if (existing) {
-    acc = *existing;
-    have_acc = true;
-  }
-  for (auto it = lr.pending_merges.rbegin(); it != lr.pending_merges.rend();
-       ++it) {
-    acc = options_.merge_operator->merge(key, have_acc ? &acc : nullptr, *it);
-    have_acc = true;
-  }
+  std::string acc = options_.merge_operator->full_merge(
+      key, lr.state == LookupState::found ? &lr.value : nullptr,
+      lr.pending_merges);
+  ops_.merge_operands_folded.fetch_add(lr.pending_merges.size(),
+                                       std::memory_order_relaxed);
   return acc;
+}
+
+Result<std::string> DB::resolve_(std::string_view key,
+                                 LookupResult& lr) const {
+  if (lr.pending_merges.empty()) return std::move(lr.value);
+  return fold_merges_(key, lr);
 }
 
 Result<std::string> DB::get(std::string_view key, const ReadOptions& ro) {
@@ -1036,6 +1079,15 @@ Status DB::flush() {
   return Status::ok();
 }
 
+Status DB::seal_memtable() {
+  UniqueLock lock(mutex_);
+  if (background_error_set_) return background_error_;
+  if (mem_->empty()) return Status::ok();
+  GEKKO_RETURN_IF_ERROR(switch_memtable_locked_());
+  work_cv_.notify_one();
+  return Status::ok();
+}
+
 Status DB::compact_all() {
   GEKKO_RETURN_IF_ERROR(flush());
   UniqueLock lock(mutex_);
@@ -1076,6 +1128,8 @@ DbStats DB::stats() const {
   s.gets = ops_.gets.load(std::memory_order_relaxed);
   s.deletes = ops_.deletes.load(std::memory_order_relaxed);
   s.merges = ops_.merges.load(std::memory_order_relaxed);
+  s.merge_operands_folded =
+      ops_.merge_operands_folded.load(std::memory_order_relaxed);
   s.stall_slowdowns = ops_.stall_slowdowns.load(std::memory_order_relaxed);
   s.stall_slowdown_ms =
       ops_.stall_slowdown_us.load(std::memory_order_relaxed) / 1000;

@@ -4,7 +4,8 @@
 //  - atomic WriteBatch commits through a WAL,
 //  - strongly consistent point reads (read-your-writes),
 //  - snapshot-isolated scans,
-//  - merge operators for contention-free size updates,
+//  - merge operators for contention-free size updates, with each key's
+//    operand chain bounded (kMaxSuccessiveMerges) so reads stay cheap,
 //  - leveled compaction on a pool of background workers that do their
 //    file I/O with the DB lock RELEASED, so the foreground write path
 //    only stalls when the whole pipeline (immutable memtables + L0) is
@@ -12,7 +13,7 @@
 //    briefly sleep to let compaction catch up) from hard stops (writer
 //    blocked on done_cv_): kv.stall.foreground_ms == 0 is the
 //    "stall-free" gate in bench/metadata_scale.
-// relaxed-ok: the per-op counters (puts/gets/deletes/merges) and the
+// relaxed-ok: the per-op counters (puts/gets/deletes/merges/folds) and the
 // slowdown flag/counters are standalone tallies read/written outside
 // mutex_ on purpose (the get/put hot path must not re-take the DB lock
 // just to count); stats() folds them into the locked snapshot.
@@ -42,11 +43,27 @@
 
 namespace gekko::kv {
 
+/// RocksDB's max_successive_merges. A merge that would stack the K-th
+/// operand on its key's base instead folds the chain under the write
+/// lock and stores the result as an ordinary value, so a read folds at
+/// most K - 1 operands. Chosen from traced shared-file IOR runs
+/// (DESIGN.md §15.4).
+inline constexpr std::size_t kMaxSuccessiveMerges = 8;
+
+/// Condition on a key's current value (merge operands folded) for
+/// merge_existing. Runs under the DB write lock, so it must be a pure
+/// function of the value; a non-ok status refuses the merge and is
+/// returned to the caller.
+using ValuePredicate = std::function<Status(std::string_view value)>;
+
 struct DbStats {
   std::uint64_t puts = 0;
   std::uint64_t gets = 0;
   std::uint64_t deletes = 0;
   std::uint64_t merges = 0;
+  /// Merge operands applied by fold_merges_: by reads (get, scan), by
+  /// removes returning the old value, and by merges that fold a chain.
+  std::uint64_t merge_operands_folded = 0;
   std::uint64_t flushes = 0;
   std::uint64_t compactions = 0;
   std::uint64_t wal_appends = 0;
@@ -112,14 +129,25 @@ class DB {
                const WriteOptions& wo = {});
   Status write(const WriteBatch& batch, const WriteOptions& wo = {});
 
+  /// merge-if-present: applies `operand` only if `key` holds a live
+  /// record and `pred` (when set) accepts its current value, both
+  /// decided under the write lock as insert does. Errc::not_found if
+  /// absent; nothing is written when the merge is refused. GekkoFS size
+  /// updates use this so a late write never resurrects an unlinked path.
+  Status merge_existing(std::string_view key, std::string_view operand,
+                        const ValuePredicate& pred = {},
+                        const WriteOptions& wo = {});
+
   /// put-if-absent, atomic w.r.t. other writers. Errc::exists if present.
   /// This is the GekkoFS create(): a single KV insert replaces directory
   /// entry + inode allocation of a traditional FS.
   Status insert(std::string_view key, std::string_view value,
                 const WriteOptions& wo = {});
 
-  /// delete-if-present. Errc::not_found if absent.
-  Status remove_existing(std::string_view key, const WriteOptions& wo = {});
+  /// delete-if-present, returning the old value (merge operands folded)
+  /// from the same locked lookup. Errc::not_found if absent.
+  Result<std::string> remove_existing(std::string_view key,
+                                      const WriteOptions& wo = {});
 
   /// Batched put-if-absent: one lock acquisition and ONE WAL append for
   /// every key that passes its existence check (the batched-create hot
@@ -164,6 +192,11 @@ class DB {
   std::shared_ptr<Snapshot> snapshot();
   /// Force memtable flush (and wait for it).
   Status flush();
+  /// Seal the active memtable and queue it for flushing without waiting
+  /// (RocksDB's FlushOptions::wait = false). With background_compaction
+  /// off it stays an immutable memtable until the next flush() or
+  /// memtable switch.
+  Status seal_memtable();
   /// Run compactions until no level is over threshold.
   Status compact_all();
   [[nodiscard]] DbStats stats() const;
@@ -213,6 +246,19 @@ class DB {
   void throttle_();
   Status lookup_locked_(std::string_view key, std::uint64_t snap,
                         LookupResult* lr) GEKKO_REQUIRES(mutex_);
+  /// Body of merge / merge_existing; *batch holds the operand.
+  Status merge_(std::string_view key, std::string_view operand,
+                bool must_exist, const ValuePredicate& pred,
+                const WriteOptions& wo);
+  /// Decides what a merge commits, under the write lock. The operand
+  /// stays in *batch while the key's chain in mem_ has a live base and
+  /// at most kMaxSuccessiveMerges - 2 operands; otherwise one
+  /// lookup_locked_ resolves the key and *batch becomes a put of base +
+  /// operands + operand folded. Never folds across a tombstone.
+  /// Errc::not_found (must_exist) or pred's status refuses the merge.
+  Status bound_chain_locked_(std::string_view key, std::string_view operand,
+                             bool must_exist, const ValuePredicate& pred,
+                             WriteBatch* batch) GEKKO_REQUIRES(mutex_);
   void worker_loop_();
   void fail_background_locked_(const Status& st) GEKKO_REQUIRES(mutex_);
   void release_snapshot_(std::uint64_t seq);
@@ -220,6 +266,9 @@ class DB {
       GEKKO_REQUIRES(mutex_);
   Result<std::string> fold_merges_(std::string_view key,
                                    const LookupResult& lr) const;
+  /// The value a lookup of a present key resolved to: its operands
+  /// folded, or its base value when none are pending.
+  Result<std::string> resolve_(std::string_view key, LookupResult& lr) const;
   Status get_internal_(std::string_view key, std::uint64_t snap,
                        LookupResult* lr);
 
@@ -259,6 +308,7 @@ class DB {
     std::atomic<std::uint64_t> gets{0};
     std::atomic<std::uint64_t> deletes{0};
     std::atomic<std::uint64_t> merges{0};
+    std::atomic<std::uint64_t> merge_operands_folded{0};
     std::atomic<std::uint64_t> stall_slowdowns{0};
     std::atomic<std::uint64_t> stall_slowdown_us{0};
   };

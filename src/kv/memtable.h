@@ -5,10 +5,12 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "kv/internal_key.h"
@@ -41,6 +43,20 @@ class MemTable {
     list_.insert(make_internal_key(user_key, seq, type), value);
     approx_bytes_.fetch_add(user_key.size() + value.size() + 16,
                             std::memory_order_relaxed);
+    if (chains_.empty()) return;
+    const auto it = chains_.find(user_key);
+    if (it == chains_.end()) return;
+    switch (type) {
+      case ValueType::value:
+        it->second = {0, LookupState::found};
+        break;
+      case ValueType::deletion:
+        it->second = {0, LookupState::deleted};
+        break;
+      case ValueType::merge:
+        ++it->second.operands;
+        break;
+    }
   }
 
   /// Point lookup visible at `snapshot_seq`. Appends any merge operands
@@ -75,6 +91,31 @@ class MemTable {
     // state stays not_present; merges (if any) continue in older parts.
   }
 
+  /// The top of one key's newest chain: how many merge operands are
+  /// stacked and what lies under them — found (a value), deleted (a
+  /// tombstone) or not_present (nothing here, or not walked that far).
+  struct ChainTop {
+    std::size_t operands = 0;
+    LookupState base = LookupState::not_present;
+  };
+  /// `user_key`'s chain top. The first call for a key walks at most
+  /// max_operands + 1 entries without copying them (stopping after
+  /// max_operands operands); add() keeps the answer current from then
+  /// on, so later calls read one cached entry instead of re-walking
+  /// nodes that other writers' cores just wrote. The cache holds one
+  /// small entry per merged key and dies with the memtable. Called with
+  /// the DB write mutex held.
+  [[nodiscard]] ChainTop chain_top(std::string_view user_key,
+                                   std::size_t max_operands) {
+    auto it = chains_.find(user_key);
+    if (it == chains_.end()) {
+      it = chains_.emplace(std::string(user_key),
+                           walk_chain_(user_key, max_operands))
+               .first;
+    }
+    return it->second;
+  }
+
   [[nodiscard]] std::size_t approximate_bytes() const noexcept {
     return approx_bytes_.load(std::memory_order_relaxed);
   }
@@ -88,8 +129,42 @@ class MemTable {
   }
 
  private:
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const noexcept {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+
+  [[nodiscard]] ChainTop walk_chain_(std::string_view user_key,
+                                     std::size_t max_operands) const {
+    ChainTop top;
+    SkipList::Iterator it(&list_);
+    it.seek(make_lookup_key(user_key, kMaxSequence));
+    for (; it.valid() && top.operands < max_operands; it.next()) {
+      const std::string_view ikey = it.key();
+      if (extract_user_key(ikey) != user_key) break;
+      switch (trailer_type(extract_trailer(ikey))) {
+        case ValueType::value:
+          top.base = LookupState::found;
+          return top;
+        case ValueType::deletion:
+          top.base = LookupState::deleted;
+          return top;
+        case ValueType::merge:
+          ++top.operands;
+          break;
+      }
+    }
+    return top;
+  }
+
   SkipList list_;
   std::atomic<std::size_t> approx_bytes_{0};
+  /// chain_top() answers for the keys merged into this memtable; written
+  /// only under the DB write mutex (add / chain_top), never by readers.
+  std::unordered_map<std::string, ChainTop, KeyHash, std::equal_to<>>
+      chains_;
 };
 
 }  // namespace gekko::kv

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -23,6 +24,22 @@ class MergeOperator {
   [[nodiscard]] virtual std::string merge(
       std::string_view key, const std::string* existing,
       std::string_view operand) const = 0;
+  /// Fold every operand into `existing` at once. `operands` is newest
+  /// first, the order a lookup collects them in. The default applies
+  /// merge() oldest to newest; an operator whose values are records
+  /// overrides it to decode and encode the record once (RocksDB's
+  /// FullMergeV2).
+  [[nodiscard]] virtual std::string full_merge(
+      std::string_view key, const std::string* existing,
+      std::span<const std::string> operands) const {
+    std::string acc = existing != nullptr ? *existing : std::string();
+    bool have_acc = existing != nullptr;
+    for (auto it = operands.rbegin(); it != operands.rend(); ++it) {
+      acc = merge(key, have_acc ? &acc : nullptr, *it);
+      have_acc = true;
+    }
+    return acc;
+  }
 };
 
 class BlockCache;  // cache.h

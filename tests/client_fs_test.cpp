@@ -255,6 +255,52 @@ TEST_F(MountTest, PathsAreNormalizedBeforeHashing) {
   EXPECT_TRUE(mnt_->unlink("/./data.bin").is_ok());
 }
 
+// ---------- unlink is final ----------
+
+// A holds /f open and writes; B unlinks it; A writes again through its
+// old fd. The late size update must not bring /f back: B's stat,
+// readdir, second unlink and O_EXCL create all see the file gone.
+TEST_F(MountTest, LateWriteAfterUnlinkDoesNotResurrect) {
+  auto other = cluster_->mount();
+  const std::vector<std::uint8_t> block(4096, 0xa5);
+  auto fd = mnt_->open("/f", fs::create | fs::rd_wr);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(mnt_->pwrite(*fd, block, 0).is_ok());
+  ASSERT_TRUE(other->unlink("/f").is_ok());
+
+  EXPECT_EQ(mnt_->pwrite(*fd, block, 8192).code(), Errc::not_found);
+
+  EXPECT_EQ(other->stat("/f").code(), Errc::not_found);
+  auto dirfd = other->opendir("/");
+  ASSERT_TRUE(dirfd.is_ok());
+  for (;;) {
+    auto e = other->readdir(*dirfd);
+    ASSERT_TRUE(e.is_ok());
+    if (!e->has_value()) break;
+    EXPECT_NE((*e)->name, "f");
+  }
+  ASSERT_TRUE(other->closedir(*dirfd).is_ok());
+  EXPECT_EQ(other->unlink("/f").code(), Errc::not_found);
+  EXPECT_EQ(other->stat("/f").code(), Errc::not_found);
+  auto fresh = other->open("/f", fs::create | fs::excl | fs::rd_wr);
+  ASSERT_TRUE(fresh.is_ok());
+  EXPECT_EQ(other->fstat(*fresh)->size, 0u);
+}
+
+// With the size cache on, the late write is absorbed and close() is
+// where the refused size update surfaces.
+TEST_F(MountTest, CachedLateWriteFailsAtClose) {
+  client::ClientOptions copts;
+  copts.size_cache_interval = 8;
+  auto cached = cluster_->mount(copts);
+  auto fd = cached->open("/g", fs::create | fs::wr_only);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(mnt_->unlink("/g").is_ok());
+  EXPECT_TRUE(cached->pwrite(*fd, bytes("late"), 0).is_ok());
+  EXPECT_EQ(cached->close(*fd).code(), Errc::not_found);
+  EXPECT_EQ(mnt_->stat("/g").code(), Errc::not_found);
+}
+
 // ---------- size cache unit behaviour ----------
 
 TEST(SizeCacheTest, PassThroughWhenDisabled) {

@@ -2,7 +2,10 @@
 // operator, dirent sharding, and RPC handlers through a real engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "common/lockdep.h"
 #include "common/metrics.h"
@@ -73,6 +76,31 @@ TEST(MetadataMergeTest, MissingBaseYieldsDefaultRecord) {
   auto md = proto::Metadata::decode(merged);
   ASSERT_TRUE(md.is_ok());
   EXPECT_EQ(md->size, 42u);
+}
+
+TEST(MetadataMergeTest, FullMergeMatchesOneAtATime) {
+  // full_merge (one decode, one encode) must equal merge() applied
+  // oldest to newest, including truncates and a malformed operand.
+  MetadataMergeOperator op;
+  const std::string base = regular_md(100).encode();
+  std::vector<std::string> newest_first = {
+      encode_size_operand(SizeOp::grow_to, 700, 9),
+      "junk",
+      encode_size_operand(SizeOp::set_to, 50, 4),
+      encode_size_operand(SizeOp::grow_to, 300, 7),
+      encode_size_operand(SizeOp::grow_to, 90, 2)};
+  const std::string* const cases[] = {&base, nullptr};
+  for (const std::string* existing : cases) {
+    std::string acc = existing ? *existing : std::string();
+    bool have = existing != nullptr;
+    for (auto it = newest_first.rbegin(); it != newest_first.rend(); ++it) {
+      acc = op.merge("/f", have ? &acc : nullptr, *it);
+      have = true;
+    }
+    EXPECT_EQ(op.full_merge("/f", existing, newest_first), acc);
+    EXPECT_EQ(proto::Metadata::decode(acc)->size, 700u);
+    EXPECT_EQ(proto::Metadata::decode(acc)->mtime_ns, existing ? 1000 : 9);
+  }
 }
 
 // ---------- metadata backend ----------
@@ -292,6 +320,102 @@ TEST_F(DaemonRpcTest, TruncateHandlersEnforceExistence) {
   // truncate_data on an absent path is a no-op (chunks may simply not
   // exist on this daemon).
   EXPECT_TRUE(call(proto::RpcId::truncate_data, tr.encode()).is_ok());
+}
+
+TEST_F(DaemonRpcTest, SizeUpdateToMissingPathIsRefused) {
+  proto::UpdateSizeRequest up;
+  up.path = "/nowhere";
+  up.observed_size = 4096;
+  up.mtime_ns = 1;
+  EXPECT_EQ(call(proto::RpcId::update_size, up.encode()).code(),
+            Errc::not_found);
+  proto::PathRequest stat_req{"/nowhere"};
+  EXPECT_EQ(call(proto::RpcId::stat, stat_req.encode()).code(),
+            Errc::not_found);
+
+  // truncate_metadata refuses a directory under the same lock.
+  proto::CreateRequest mk;
+  mk.path = "/dir";
+  mk.type = static_cast<std::uint8_t>(proto::FileType::directory);
+  ASSERT_TRUE(call(proto::RpcId::create, mk.encode()).is_ok());
+  proto::TruncateRequest tr;
+  tr.path = "/dir";
+  tr.new_size = 0;
+  EXPECT_EQ(call(proto::RpcId::truncate_metadata, tr.encode()).code(),
+            Errc::is_directory);
+}
+
+// Size updates race stats on one hot path: every K-th update folds the
+// key's chain under the kv write lock while readers fold what is
+// stacked. No reader may see the size shrink or miss an update that was
+// acknowledged before its stat began. Runs under `ctest -L sanitize`.
+TEST_F(DaemonRpcTest, ConcurrentSizeUpdatesAndStatsStayMonotonic) {
+  constexpr std::uint64_t kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr std::uint64_t kUpdates = 2000;
+  proto::CreateRequest create;
+  create.path = "/hot";
+  ASSERT_TRUE(call(proto::RpcId::create, create.encode()).is_ok());
+  const proto::PathRequest stat_req{"/hot"};
+
+  auto stat_size = [&]() -> Result<std::uint64_t> {
+    auto resp = call(proto::RpcId::stat, stat_req.encode());
+    if (!resp) return resp.status();
+    auto decoded = proto::StatResponse::decode(std::string_view(
+        reinterpret_cast<const char*>(resp->data()), resp->size()));
+    if (!decoded) return decoded.status();
+    return decoded->metadata.size;
+  };
+
+  std::atomic<std::uint64_t> acked{0};  // largest acknowledged size
+  std::atomic<std::uint64_t> writers_left{kWriters};
+  std::atomic<std::uint64_t> failures{0}, shrinks{0}, stale{0}, stats{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::uint64_t i = 0; i < kUpdates; ++i) {
+        proto::UpdateSizeRequest up;
+        up.path = "/hot";
+        up.observed_size = (i * kWriters + w + 1) * 16;
+        up.mtime_ns = static_cast<std::int64_t>(i);
+        if (!call(proto::RpcId::update_size, up.encode()).is_ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        std::uint64_t cur = acked.load();
+        while (cur < up.observed_size &&
+               !acked.compare_exchange_weak(cur, up.observed_size)) {
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      std::uint64_t last = 0;
+      while (writers_left.load() > 0) {
+        const std::uint64_t floor = acked.load();
+        auto size = stat_size();
+        if (!size) {
+          failures.fetch_add(1);
+          continue;
+        }
+        stats.fetch_add(1);
+        if (*size < last) shrinks.fetch_add(1);
+        if (*size < floor) stale.fetch_add(1);
+        last = *size;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(shrinks.load(), 0u);
+  EXPECT_EQ(stale.load(), 0u);
+  EXPECT_GT(stats.load(), 0u);
+  auto final_size = stat_size();
+  ASSERT_TRUE(final_size.is_ok());
+  EXPECT_EQ(*final_size, kUpdates * kWriters * 16);
 }
 
 TEST_F(DaemonRpcTest, DaemonStatCountsEntries) {

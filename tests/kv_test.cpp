@@ -523,6 +523,35 @@ TEST(MemTableTest, MergeOperandsAccumulateNewestFirst) {
   EXPECT_EQ(lr.pending_merges[1], "m1");
 }
 
+TEST(MemTableTest, ChainTopFollowsAddsAfterFirstWalk) {
+  MemTable mem;
+  SequenceNumber seq = 1;
+  EXPECT_EQ(mem.chain_top("k", 3).base, LookupState::not_present);
+  mem.add(seq++, ValueType::value, "k", "base");
+  mem.add(seq++, ValueType::merge, "k", "m1");
+  auto top = mem.chain_top("k", 3);  // cached from here on
+  EXPECT_EQ(top.operands, 1u);
+  EXPECT_EQ(top.base, LookupState::found);
+  mem.add(seq++, ValueType::merge, "k", "m2");
+  mem.add(seq++, ValueType::merge, "other", "x");
+  EXPECT_EQ(mem.chain_top("k", 3).operands, 2u);
+  mem.add(seq++, ValueType::deletion, "k", "");
+  mem.add(seq++, ValueType::merge, "k", "m3");
+  top = mem.chain_top("k", 3);
+  EXPECT_EQ(top.operands, 1u);
+  EXPECT_EQ(top.base, LookupState::deleted);
+  mem.add(seq++, ValueType::value, "k", "again");
+  top = mem.chain_top("k", 3);
+  EXPECT_EQ(top.operands, 0u);
+  EXPECT_EQ(top.base, LookupState::found);
+
+  // The first walk of a key stops after max_operands operands.
+  for (int i = 0; i < 5; ++i) mem.add(seq++, ValueType::merge, "deep", "m");
+  top = mem.chain_top("deep", 3);
+  EXPECT_EQ(top.operands, 3u);
+  EXPECT_EQ(top.base, LookupState::not_present);
+}
+
 // ---------- DB facade ----------
 
 class DbTest : public ::testing::Test {
@@ -976,6 +1005,223 @@ TEST_F(DbTest, BatchedInsertRemoveSemantics) {
   EXPECT_TRUE(old_values[1].empty());
   EXPECT_EQ(db_->get("/b/1").code(), Errc::not_found);
   EXPECT_EQ(*db_->get("/b/2"), "v2");
+}
+
+// ---------- bounded merge chains ----------
+
+// Where a key's chain sits when it is read: the active memtable, a
+// sealed (immutable) memtable, or an L0 table.
+enum class Placement { memtable, immutable, sst };
+
+const char* placement_name(Placement p) {
+  switch (p) {
+    case Placement::memtable: return "memtable";
+    case Placement::immutable: return "immutable";
+    case Placement::sst: return "sst";
+  }
+  return "?";
+}
+
+class MergeChainTest : public DbTest,
+                       public ::testing::WithParamInterface<Placement> {
+ protected:
+  /// Inline mode and a memtable large enough that nothing switches
+  /// until place() says so.
+  static Options roomy(std::shared_ptr<const MergeOperator> op) {
+    Options o = default_options();
+    o.memtable_budget = 64 * 1024 * 1024;
+    o.merge_operator = std::move(op);
+    return o;
+  }
+
+  void place() {
+    switch (GetParam()) {
+      case Placement::memtable:
+        break;
+      case Placement::immutable:
+        ASSERT_TRUE(db_->seal_memtable().is_ok());
+        ASSERT_EQ(db_->stats().immutable_memtables, 1u);
+        break;
+      case Placement::sst:
+        ASSERT_TRUE(db_->flush().is_ok());
+        ASSERT_EQ(db_->stats().memtable_bytes, 0u);
+        ASSERT_EQ(db_->stats().immutable_memtables, 0u);
+        break;
+    }
+  }
+
+  std::uint64_t folded() { return db_->stats().merge_operands_folded; }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Placements, MergeChainTest,
+    ::testing::Values(Placement::memtable, Placement::immutable,
+                      Placement::sst),
+    [](const ::testing::TestParamInfo<Placement>& p) {
+      return placement_name(p.param);
+    });
+
+// Every K-th merge folds the K - 1 operands stacked on the base, so
+// after N merges a read folds exactly N mod K of them, wherever the
+// chain sits. Without the bound it would fold all N.
+TEST_P(MergeChainTest, ReadFoldsAtMostKMinusOneOperands) {
+  open_db(roomy(std::make_shared<U64MaxMergeOperator>()));
+  constexpr std::uint64_t kMerges = 4096 + kMaxSuccessiveMerges - 1;
+  constexpr std::uint64_t K = kMaxSuccessiveMerges;
+  ASSERT_TRUE(db_->put("/hot", U64MaxMergeOperator::encode(0)).is_ok());
+  for (std::uint64_t i = 1; i <= kMerges; ++i) {
+    ASSERT_TRUE(
+        db_->merge("/hot", U64MaxMergeOperator::encode(i)).is_ok());
+  }
+  EXPECT_EQ(folded(), kMerges / K * K);  // the merges' own folds
+  place();
+
+  const std::uint64_t before = folded();
+  auto v = db_->get("/hot");
+  ASSERT_TRUE(v.is_ok());
+  EXPECT_EQ(U64MaxMergeOperator::decode(*v), kMerges);
+  EXPECT_EQ(folded() - before, kMerges % K);
+  EXPECT_LE(folded() - before, K - 1);
+
+  // A scan entry folds the same chain.
+  const std::uint64_t before_scan = folded();
+  ASSERT_TRUE(db_->scan_prefix("/hot", [](auto, auto) { return true; })
+                  .is_ok());
+  EXPECT_EQ(folded() - before_scan, kMerges % K);
+}
+
+// A conditional merge over a tombstone is refused wherever the
+// tombstone sits, and writes nothing.
+TEST_P(MergeChainTest, ConditionalMergeOverTombstoneIsNotFound) {
+  ASSERT_TRUE(db_->put("/gone", "base").is_ok());
+  ASSERT_TRUE(db_->merge("/gone", "a").is_ok());
+  ASSERT_TRUE(db_->erase("/gone").is_ok());
+  place();
+  const DbStats before = db_->stats();
+  EXPECT_EQ(db_->merge_existing("/gone", "late").code(), Errc::not_found);
+  EXPECT_EQ(db_->merge_existing("/never", "late").code(), Errc::not_found);
+  const DbStats after = db_->stats();
+  EXPECT_EQ(after.wal_appends, before.wal_appends);
+  EXPECT_EQ(after.merges, before.merges);
+  EXPECT_EQ(db_->get("/gone").code(), Errc::not_found);
+  EXPECT_EQ(db_->get("/never").code(), Errc::not_found);
+  // The path is absent for create, too.
+  EXPECT_TRUE(db_->insert("/gone", "new").is_ok());
+  EXPECT_EQ(*db_->get("/gone"), "new");
+}
+
+// The single-key remove returns the fold of the base and the operands
+// pending on it, read by the same locked lookup that deletes the key.
+TEST_P(MergeChainTest, RemoveReturnsFoldedOldValue) {
+  ASSERT_TRUE(db_->put("/r", "base").is_ok());
+  ASSERT_TRUE(db_->merge_existing("/r", "a").is_ok());
+  ASSERT_TRUE(db_->merge_existing("/r", "b").is_ok());
+  place();
+  const std::uint64_t before = folded();
+  auto old = db_->remove_existing("/r");
+  ASSERT_TRUE(old.is_ok());
+  EXPECT_EQ(*old, "base,a,b");
+  EXPECT_EQ(folded() - before, 2u);
+  EXPECT_EQ(db_->get("/r").code(), Errc::not_found);
+  EXPECT_EQ(db_->remove_existing("/r").code(), Errc::not_found);
+}
+
+// The predicate sees the current value (operands folded) and its
+// refusal is returned with nothing written.
+TEST_F(DbTest, MergeExistingPredicateSeesFoldedValue) {
+  ASSERT_TRUE(db_->put("/p", "base").is_ok());
+  ASSERT_TRUE(db_->merge("/p", "a").is_ok());
+  std::string seen;
+  auto accept = [&](std::string_view v) {
+    seen = std::string(v);
+    return Status::ok();
+  };
+  ASSERT_TRUE(db_->merge_existing("/p", "b", accept).is_ok());
+  EXPECT_EQ(seen, "base,a");
+  EXPECT_EQ(*db_->get("/p"), "base,a,b");
+  const auto appends = db_->stats().wal_appends;
+  EXPECT_EQ(db_->merge_existing("/p", "c",
+                                [](std::string_view) -> Status {
+                                  return Errc::is_directory;
+                                })
+                .code(),
+            Errc::is_directory);
+  EXPECT_EQ(db_->stats().wal_appends, appends);
+  EXPECT_EQ(*db_->get("/p"), "base,a,b");
+}
+
+// Never fold across a tombstone: a plain merge chain above one keeps
+// its operands (unbounded) and reads exactly as before the bound, with
+// the tombstone in the memtable or in a table.
+TEST_F(DbTest, ChainAboveTombstoneStaysOperands) {
+  for (const bool flushed : {false, true}) {
+    const std::string key = flushed ? "/t/sst" : "/t/mem";
+    ASSERT_TRUE(db_->put(key, "base").is_ok());
+    ASSERT_TRUE(db_->erase(key).is_ok());
+    if (flushed) {
+      ASSERT_TRUE(db_->flush().is_ok());
+    }
+    std::string want;
+    constexpr int kOps = 3 * static_cast<int>(kMaxSuccessiveMerges);
+    for (int i = 0; i < kOps; ++i) {
+      const std::string op = "m" + std::to_string(i);
+      ASSERT_TRUE(db_->merge(key, op).is_ok());
+      want += (i ? "," : "") + op;
+    }
+    const std::uint64_t before = db_->stats().merge_operands_folded;
+    EXPECT_EQ(*db_->get(key), want) << key;
+    EXPECT_EQ(db_->stats().merge_operands_folded - before,
+              static_cast<std::uint64_t>(kOps))
+        << key;
+    // Still absent for the conditional writes, as before.
+    EXPECT_EQ(db_->merge_existing(key, "x").code(), Errc::not_found) << key;
+  }
+}
+
+// A snapshot taken before a fold still reads the pre-fold entries.
+TEST_F(DbTest, SnapshotBeforeFoldReadsPreFoldValue) {
+  ASSERT_TRUE(db_->put("/s", "b").is_ok());
+  std::string want = "b";
+  for (std::size_t i = 1; i < kMaxSuccessiveMerges; ++i) {
+    const std::string op = "o" + std::to_string(i);
+    ASSERT_TRUE(db_->merge("/s", op).is_ok());
+    want += "," + op;
+  }
+  auto snap = db_->snapshot();
+  ASSERT_TRUE(db_->merge("/s", "fold").is_ok());  // the K-th: folds
+  ASSERT_TRUE(db_->merge("/s", "after").is_ok());
+
+  ReadOptions at_snap;
+  at_snap.snapshot_seq = snap->sequence();
+  std::uint64_t before = db_->stats().merge_operands_folded;
+  EXPECT_EQ(*db_->get("/s", at_snap), want);
+  EXPECT_EQ(db_->stats().merge_operands_folded - before,
+            kMaxSuccessiveMerges - 1);
+  before = db_->stats().merge_operands_folded;
+  EXPECT_EQ(*db_->get("/s"), want + ",fold,after");
+  EXPECT_EQ(db_->stats().merge_operands_folded - before, 1u);
+}
+
+// The fold is an ordinary put in the WAL: one record per merge, and a
+// reopen that replays the WAL reads the same value.
+TEST_F(DbTest, FoldedChainSurvivesWalReplay) {
+  ASSERT_TRUE(db_->put("/w", "b").is_ok());
+  constexpr int kOps = 2 * static_cast<int>(kMaxSuccessiveMerges) + 3;
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(db_->merge_existing("/w", std::to_string(i)).is_ok());
+  }
+  const std::string want = *db_->get("/w");
+  // Copy the live directory: the WAL is flushed to the OS per append,
+  // so the copy is what a crash at this point leaves behind.
+  const auto crashed = dir_ / "crashed";
+  std::filesystem::copy(dir_ / "db", crashed,
+                        std::filesystem::copy_options::recursive);
+  auto reopened = DB::open(crashed, default_options());
+  ASSERT_TRUE(reopened.is_ok()) << reopened.status().to_string();
+  EXPECT_EQ((*reopened)->stats().wal_recovered_records,
+            static_cast<std::uint64_t>(kOps) + 1);
+  EXPECT_EQ(*(*reopened)->get("/w"), want);
+  EXPECT_EQ(*(*reopened)->get("/w"), *db_->get("/w"));
 }
 
 }  // namespace

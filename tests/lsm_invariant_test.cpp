@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "common/rng.h"
@@ -158,6 +159,46 @@ TEST_F(LsmInvariantTest, MergeOperandsSurviveDeepCompaction) {
     ASSERT_TRUE(v.is_ok()) << i;
     EXPECT_EQ(*v, "base,op0,op1,op2,op3") << i;
   }
+}
+
+TEST_F(LsmInvariantTest, MergeChainsStayBoundedThroughFlushAndCompaction) {
+  // However a key's merges interleave with memtable switches, flushes,
+  // compactions and reopens, a read folds at most K - 1 operands and
+  // the value is the full fold.
+  Xoshiro256 rng(41);
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = "/b/" + std::to_string(i);
+    ASSERT_TRUE(db_->insert(key, "base").is_ok());
+    model[key] = "base";
+  }
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 1200; ++i) {
+      const std::string key = "/b/" + std::to_string(rng.below(40));
+      const std::string op = std::to_string(round) + "." + std::to_string(i);
+      ASSERT_TRUE(db_->merge_existing(key, op).is_ok());
+      model[key] += "," + op;
+    }
+    if (round % 2 == 1) {
+      ASSERT_TRUE(db_->compact_all().is_ok());
+    }
+    if (round == 3) {
+      db_.reset();
+      auto db = DB::open(dir_ / "db", opts_);
+      ASSERT_TRUE(db.is_ok());
+      db_ = std::move(*db);
+    }
+    for (const auto& [key, want] : model) {
+      const std::uint64_t before = db_->stats().merge_operands_folded;
+      auto got = db_->get(key);
+      ASSERT_TRUE(got.is_ok()) << key;
+      EXPECT_EQ(*got, want) << "round " << round << " " << key;
+      EXPECT_LE(db_->stats().merge_operands_folded - before,
+                kMaxSuccessiveMerges - 1)
+          << "round " << round << " " << key;
+    }
+  }
+  EXPECT_GT(db_->stats().flushes, 0u);
 }
 
 TEST_F(LsmInvariantTest, ReopenAfterEveryCompactionState) {
