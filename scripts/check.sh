@@ -52,6 +52,14 @@ echo "== check.sh: forensics suite (ctest -L forensics)"
 echo "== check.sh: full test suite (lockdep on)"
 (cd "${BUILD_DIR}" && GEKKO_LOCKDEP=1 ctest --output-on-failure)
 
+# Fabric threads deliver straight into engines, so an engine's teardown
+# races those deliveries; such races show only now and then. Repeat the
+# transport suites until one fails, ten runs each.
+echo "== check.sh: transport suites x10 (lockdep on)"
+(cd "${BUILD_DIR}" && GEKKO_LOCKDEP=1 ctest --output-on-failure \
+    --repeat until-fail:10 \
+    -R '^(net_rpc_test|tcp_fabric_test|socket_fabric_test|net_stress_test|fault_injection_test)$')
+
 # Deterministic fuzz smoke: corpus replay + a fixed mutation budget per
 # decoder family, in a dedicated ASan+UBSan build (the fuzz harnesses
 # only exist under -DGEKKO_FUZZ=ON). Skipped when a sanitizer build was

@@ -103,10 +103,9 @@ Client::Client(net::Fabric& fabric, std::vector<net::EndpointId> daemons,
   if (rpc_opts.name == "engine") rpc_opts.name = "gkfs-client";
   if (rpc_opts.registry == nullptr) rpc_opts.registry = registry_;
   if (!rpc_opts.rpc_name) rpc_opts.rpc_name = proto::rpc_name;
-  // The client engine only *sends*; one handler thread suffices for the
-  // (none) incoming requests, and the progress thread completes
-  // responses.
-  rpc_opts.handler_threads = 1;
+  // The client engine only *sends*: it registers no handler, so it
+  // starts no thread. Responses complete on the fabric thread that
+  // delivers them and wake the calling thread directly.
   // Failure semantics at the forwarding layer: idempotent reads retry
   // through the engine after transient outcomes (a daemon hiccup or
   // restart); mutating rpcs never do — a replayed create/remove could

@@ -108,8 +108,8 @@ void set_enabled(bool on) noexcept;
 /// one relaxed load when not.
 void record(Subsys subsys, std::uint8_t code, std::uint64_t a0 = 0,
             std::uint32_t a1 = 0) noexcept;
-/// Same, with an explicit trace id (progress threads handle messages
-/// for OTHER traces and must not consult their own context).
+/// Same, with an explicit trace id (delivering fabric threads handle
+/// messages for OTHER traces and must not consult their own context).
 void record_traced(Subsys subsys, std::uint8_t code, std::uint64_t trace_id,
                    std::uint64_t a0 = 0, std::uint32_t a1 = 0) noexcept;
 

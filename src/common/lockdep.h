@@ -79,6 +79,10 @@ inline constexpr int kKvDb = 500;           // DB-wide LSM lock
 inline constexpr int kKvCacheShard = 510;   // block-cache shard (under kKvDb)
 inline constexpr int kFdCacheShard = 520;   // chunk fd-cache shard
 // -- leaf synchronization primitives --
+inline constexpr int kInbox = 790;          // fabric inbox delivery count
+                                            // (held only around the count,
+                                            // never across the call into
+                                            // the engine)
 inline constexpr int kQueue = 800;          // BlockingQueue
 inline constexpr int kEventual = 810;       // Eventual one-shot cells
 inline constexpr int kLatch = 820;          // fan-out latches

@@ -3,7 +3,7 @@
 // Counters, gauges, and latency histograms behind a named Registry,
 // plus a lock-free ring-buffer Tracer for per-RPC span capture. The
 // record path is the hot path of every layer (client forwarders,
-// engine progress/handler threads, daemon service handlers, storage
+// fabric delivery and handler threads, daemon service handlers, storage
 // and KV internals), so it takes NO lock:
 //  - Counter: cache-line-sharded relaxed atomics (threads hash to a
 //    shard; value() sums),

@@ -69,6 +69,11 @@ Result<std::unique_ptr<GekkoDaemon>> GekkoDaemon::start(
   // not_supported during daemon startup.
   rpc_opts.start_paused = true;
   d->engine_ = std::make_unique<rpc::Engine>(fabric, rpc_opts);
+  if (d->engine_->endpoint() == net::kInvalidEndpoint) {
+    // A hosted fabric refuses the endpoint when its listener cannot
+    // start (the fabric logs why, e.g. the address is in use).
+    return Status{Errc::io_error, "endpoint registration failed"};
+  }
   d->register_handlers_();
   d->engine_->start();
 

@@ -74,11 +74,11 @@ Result<int> Mount::open(std::string_view raw_path, std::uint32_t flags,
 
 Status Mount::close(int fd) {
   auto file = files_.file(fd);
-  if (file) {
-    // close() is the durability point for cached size updates.
-    GEKKO_RETURN_IF_ERROR(client_.flush_size(file->path));
-  }
+  // Like POSIX close(), release the descriptor even when the close
+  // itself reports an error: a retried close must see bad_fd.
   if (!files_.erase(fd)) return Errc::bad_fd;
+  // close() is the durability point for cached size updates.
+  if (file) return client_.flush_size(file->path);
   return Status::ok();
 }
 

@@ -34,6 +34,73 @@ FaultAction Fabric::consult_injector_(EndpointId dest, const Message& msg) {
   return action;
 }
 
+bool Inbox::push(Message msg) {
+  const Receiver* receiver = nullptr;
+  {
+    LockGuard lock(mutex_);
+    if (closed_) return false;
+    if (!receiver_) {
+      queued_.push_back(std::move(msg));
+      cv_.notify_all();
+      return true;
+    }
+    // receiver_ stays put while delivering_ > 0: attach() never
+    // replaces it and close() clears it only once the count drains.
+    receiver = &receiver_;
+    ++delivering_;
+  }
+  (*receiver)(std::move(msg));
+  end_delivery_();
+  return true;
+}
+
+void Inbox::attach(Receiver receiver) {
+  std::deque<Message> backlog;
+  const Receiver* attached = nullptr;
+  {
+    LockGuard lock(mutex_);
+    if (closed_ || receiver_) return;
+    receiver_ = std::move(receiver);
+    attached = &receiver_;
+    backlog.swap(queued_);
+    ++delivering_;
+  }
+  for (Message& msg : backlog) (*attached)(std::move(msg));
+  end_delivery_();
+}
+
+void Inbox::end_delivery_() {
+  LockGuard lock(mutex_);
+  if (--delivering_ == 0 && closed_) cv_.notify_all();
+}
+
+void Inbox::close() {
+  UniqueLock lock(mutex_);
+  closed_ = true;
+  cv_.notify_all();  // wakes receive() pollers
+  cv_.wait(lock, [&]() GEKKO_REQUIRES(mutex_) { return delivering_ == 0; });
+  receiver_ = nullptr;  // drops what the engine's callback captured
+}
+
+std::optional<Message> Inbox::receive() {
+  UniqueLock lock(mutex_);
+  cv_.wait(lock, [&]() GEKKO_REQUIRES(mutex_) {
+    return !queued_.empty() || closed_;
+  });
+  if (queued_.empty()) return std::nullopt;
+  Message msg = std::move(queued_.front());
+  queued_.pop_front();
+  return msg;
+}
+
+std::optional<Message> Inbox::try_receive() {
+  LockGuard lock(mutex_);
+  if (queued_.empty()) return std::nullopt;
+  Message msg = std::move(queued_.front());
+  queued_.pop_front();
+  return msg;
+}
+
 LoopbackFabric::LoopbackFabric() {
   auto& reg = metrics::Registry::global();
   m_.messages = &reg.counter("net.loopback.messages");
@@ -80,7 +147,7 @@ Status LoopbackFabric::send(EndpointId dest, Message msg) {
     m_.bytes->inc(msg.payload.size());
     inbox = inboxes_[dest];
   }
-  // status-ignored-ok: injected duplicate; dropping it on a full inbox is fine
+  // status-ignored-ok: injected duplicate; a closing inbox may refuse it
   if (fault.duplicate) (void)inbox->push(msg);
   if (!inbox->push(std::move(msg))) {
     return Status{Errc::disconnected, "endpoint shutting down"};

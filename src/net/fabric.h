@@ -2,18 +2,21 @@
 //
 // A Fabric is what Mercury's transport layer is to GekkoFS: endpoints
 // register, messages are delivered reliably to inboxes, and bulk
-// regions support one-sided-style transfers. Two implementations:
+// regions support one-sided-style transfers. Three implementations:
 //  - LoopbackFabric (here): all endpoints in one process; bulk ops are
 //    memcpys. Used by tests, benches, and the in-process cluster.
 //  - SocketFabric (socket_fabric.h): endpoints across PROCESSES over
 //    Unix-domain sockets with a hostfile, for real `gkfsd` daemons.
 //    Bulk data is inlined into frames (Mercury's send/recv fallback
 //    path when RDMA is unavailable).
+//  - TcpFabric (tcp_fabric.h): the same frames over TCP, multiplexed
+//    onto a few epoll event loops.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -21,7 +24,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/queue.h"
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "net/message.h"
@@ -138,19 +140,47 @@ class Fabric {
   metrics::Counter* fault_fires_;  // global registry, cached
 };
 
-/// An endpoint's receive queue.
+/// An endpoint's receive side. Every fabric delivers through push(),
+/// on the thread that has the message: the loopback sender, the TCP
+/// event loop, the UDS connection reader. Once a receiver is attached,
+/// push() hands it the message right there, so a response wakes its
+/// caller directly (Mercury's HG_Trigger also runs callbacks on the
+/// thread that triggers them). Until then messages queue, and tests
+/// that own no engine poll them with receive().
 class Inbox {
  public:
-  std::optional<Message> receive() { return queue_.pop(); }
-  std::optional<Message> try_receive() { return queue_.try_pop(); }
-  void close() { queue_.close(); }
-  bool push(Message msg) { return queue_.push(std::move(msg)); }
+  using Receiver = std::function<void(Message)>;
+
+  /// Deliver one message. False once closed.
+  bool push(Message msg);
+
+  /// Attach the receiver and hand it every queued message, each exactly
+  /// once. No-op when a receiver is attached already or the inbox is
+  /// closed.
+  void attach(Receiver receiver);
+
+  /// Reject further pushes, then wait until no delivery into the
+  /// receiver is running. Must not be called from inside a delivery.
+  void close();
+
+  /// Poll the queue of an inbox with no receiver. receive() blocks
+  /// until a message arrives or the inbox closes and drains.
+  std::optional<Message> receive();
+  std::optional<Message> try_receive();
 
  private:
-  BlockingQueue<Message> queue_;
+  void end_delivery_();
+
+  Mutex mutex_{"net.inbox", lockdep::rank::kInbox};
+  CondVar cv_;
+  Receiver receiver_ GEKKO_GUARDED_BY(mutex_);
+  std::deque<Message> queued_ GEKKO_GUARDED_BY(mutex_);
+  /// Calls into receiver_ running now; close() waits for zero.
+  std::size_t delivering_ GEKKO_GUARDED_BY(mutex_) = 0;
+  bool closed_ GEKKO_GUARDED_BY(mutex_) = false;
 };
 
-/// All endpoints in one process; delivery is a queue push.
+/// All endpoints in one process; delivery runs on the sender's thread.
 class LoopbackFabric final : public Fabric {
  public:
   LoopbackFabric();

@@ -104,7 +104,8 @@ class SocketFabric final : public HostedFabric {
   void reader_loop_(std::shared_ptr<Connection> conn);
   /// Route one decoded frame: apply response bulk (killing the
   /// connection on out-of-range ranges), stash the reply route, push
-  /// to the inbox. False = connection must die.
+  /// to the inbox, which runs the engine on this reader thread.
+  /// False = connection must die.
   bool deliver_frame_(const std::shared_ptr<Connection>& conn,
                       wire::DecodedFrame decoded);
   Result<std::shared_ptr<Connection>> connect_to_(EndpointId dest);

@@ -52,8 +52,8 @@ struct TcpFabricOptions {
   /// SocketFabricOptions::max_frame_bytes).
   std::uint32_t max_frame_bytes = 1u << 30;
   /// Event-loop threads multiplexing all connections (0 = 2). Two
-  /// suffice for a node: loops are readiness dispatchers, the actual
-  /// RPC work runs on the engine's handler pool.
+  /// suffice for a node: a loop completes responses and queues requests
+  /// on the engine's handler pool, where the actual RPC work runs.
   std::size_t event_loops = 2;
   int listen_backlog = 128;
 };

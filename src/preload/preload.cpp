@@ -324,6 +324,7 @@ int close(int fd) {
   static close_fn next = real<close_fn>("close");
   if (const int gfd = resolve_fd(fd); gfd >= 0) {
     if (gfd == fd) {
+      // Mount::close releases the fd even when it reports an error.
       gekko::Status st = g_state->mount->close(fd);
       if (!st.is_ok()) return fail_errno(st.code());
     } else {

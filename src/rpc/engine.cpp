@@ -30,7 +30,6 @@ Engine::Engine(net::Fabric& fabric, EngineOptions options)
                                   : &metrics::Registry::global()),
       tracer_(options_.tracer ? options_.tracer : &metrics::Tracer::global()),
       self_(net::kInvalidEndpoint),
-      handler_pool_(options_.handler_threads, options_.name + "-handlers"),
       agg_sent_(&registry_->counter("rpc.requests_sent")),
       agg_handled_(&registry_->counter("rpc.requests_handled")),
       agg_retries_(&registry_->counter("rpc.retries")),
@@ -41,27 +40,28 @@ Engine::Engine(net::Fabric& fabric, EngineOptions options)
   // The process's first engine names the node for trace spans (a
   // daemon's daemon id, a client's salted endpoint id).
   tracer_->set_node_id_if_unset(static_cast<std::uint32_t>(self_));
-  if (!options_.start_paused) {
-    progress_ = std::thread([this] { progress_loop_(); });
-  }
+  if (!options_.start_paused) start();
 }
 
 void Engine::start() {
-  if (stopped_.load() || progress_.joinable()) return;
-  progress_ = std::thread([this] { progress_loop_(); });
+  if (inbox_ == nullptr) return;  // the fabric refused the endpoint
+  inbox_->attach([this](net::Message msg) { deliver_(std::move(msg)); });
 }
 
 Engine::~Engine() { shutdown(); }
 
 void Engine::shutdown() {
   bool expected = false;
-  if (!stopped_.compare_exchange_strong(expected, true)) {
-    if (progress_.joinable()) progress_.join();
-    return;
+  if (!stopped_.compare_exchange_strong(expected, true)) return;
+  // Closes the inbox, which waits out every running delivery: after
+  // this nothing reaches dispatch_request_ or complete_response_.
+  fabric_.deregister(self_);
+  task::Pool* pool = nullptr;
+  {
+    LockGuard lock(rpc_mutex_);
+    pool = handler_pool_.get();
   }
-  fabric_.deregister(self_);  // closes the inbox, unblocking progress
-  if (progress_.joinable()) progress_.join();
-  handler_pool_.shutdown();
+  if (pool != nullptr) pool->shutdown();  // drains queued handlers
   // Fail any still-pending forwards.
   LockGuard lock(pending_mutex_);
   for (auto& [seq, eventual] : pending_) {
@@ -80,6 +80,10 @@ void Engine::register_rpc(std::uint16_t rpc_id, std::string name,
   hm->queue = &registry_->histogram(base + "queue");
   hm->inflight = &registry_->gauge(base + "inflight");
   LockGuard lock(rpc_mutex_);
+  if (handler_pool_ == nullptr) {
+    handler_pool_ = std::make_unique<task::Pool>(
+        options_.handler_threads, options_.name + "-handlers");
+  }
   rpcs_[rpc_id] = RpcEntry{std::move(name), std::move(handler), std::move(hm)};
 }
 
@@ -155,7 +159,7 @@ Result<std::vector<std::uint8_t>> Engine::forward(
                       << dest << " " << errc_name(result.code())
                       << ", retry " << (attempt + 1) << "/" << (attempts - 1)
                       << " after backoff";
-    std::this_thread::sleep_for(jittered_(backoff, call.seq));  // blocking-ok: retry backoff runs on the blocked caller's thread, never on progress/handler threads
+    std::this_thread::sleep_for(jittered_(backoff, call.seq));  // blocking-ok: retry backoff runs on the blocked caller's thread, never on delivery/handler threads
     backoff = std::min(backoff * 2, options_.retry_backoff_max);
   }
 }
@@ -289,23 +293,34 @@ Result<std::vector<std::uint8_t>> Engine::finish(
   return std::move(*result);
 }
 
-void Engine::progress_loop_() {
-  while (auto msg = inbox_->receive()) {
-    if (msg->kind == net::MessageKind::request) {
-      dispatch_request_(std::move(*msg));
-    } else {
-      complete_response_(std::move(*msg));
-    }
+void Engine::deliver_(net::Message msg) {
+  if (msg.kind == net::MessageKind::request) {
+    dispatch_request_(std::move(msg));
+  } else {
+    complete_response_(std::move(msg));
   }
 }
 
+void Engine::respond_(const net::Message& request,
+                      std::vector<std::uint8_t> payload) {
+  net::Message resp;
+  resp.kind = net::MessageKind::response;
+  resp.seq = request.seq;
+  resp.trace_id = request.trace_id;
+  resp.source = self_;
+  resp.payload = std::move(payload);
+  // status-ignored-ok: best-effort reply; the caller times out regardless
+  (void)fabric_.send(request.source, std::move(resp));
+}
+
 void Engine::dispatch_request_(net::Message msg) {
-  // Progress thread: the message's trace, not this thread's context.
+  // Delivering thread: the message's trace, not this thread's context.
   flight::record_traced(flight::Subsys::engine, flight::ev::engine_dispatch,
                         msg.trace_id, msg.seq, msg.rpc_id);
   Handler handler;
   std::shared_ptr<HandlerMetrics> hm;
   std::string rpc_label;
+  task::Pool* pool = nullptr;
   {
     LockGuard lock(rpc_mutex_);
     auto it = rpcs_.find(msg.rpc_id);
@@ -313,30 +328,26 @@ void Engine::dispatch_request_(net::Message msg) {
       handler = it->second.handler;
       hm = it->second.metrics;
       rpc_label = it->second.name;
+      pool = handler_pool_.get();
     }
   }
   if (!handler) {
     GEKKO_WARN("rpc") << options_.name << ": no handler for rpc id "
                       << msg.rpc_id;
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = msg.seq;
-    resp.trace_id = msg.trace_id;
-    resp.source = self_;
-    resp.payload = frame_error(Errc::not_supported);
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(msg.source, std::move(resp));
+    // Answered inline: on loopback this delivers into the caller's
+    // engine from here, one level deep.
+    respond_(msg, frame_error(Errc::not_supported));
     return;
   }
 
   const std::uint64_t t_enq = metrics::now_ns();
   auto shared_msg = std::make_shared<net::Message>(std::move(msg));
-  const bool posted = handler_pool_.post([this, handler = std::move(handler),
-                                          hm, t_enq, shared_msg,
-                                          rpc_label = std::move(rpc_label)] {
-    // Attribute queueing (progress thread → handler pool pickup) and
-    // service time separately: a slow op whose queue span dominates is
-    // starved for handler threads, not slow to serve.
+  const bool posted = pool->post([this, handler = std::move(handler), hm,
+                                  t_enq, shared_msg,
+                                  rpc_label = std::move(rpc_label)] {
+    // Attribute queueing (dispatch → handler pool pickup) and service
+    // time separately: a slow op whose queue span dominates is starved
+    // for handler threads, not slow to serve.
     const std::uint64_t t_start = metrics::now_ns();
     hm->queue->record(t_start - t_enq);
     hm->inflight->add(1);
@@ -375,28 +386,12 @@ void Engine::dispatch_request_(net::Message msg) {
                          shared_msg->trace_id, t_done - t_enq,
                          {{"service", t_done - t_start}});
     }
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = shared_msg->seq;
-    resp.trace_id = shared_msg->trace_id;
-    resp.source = self_;
-    resp.payload = result.is_ok() ? frame_ok(std::move(*result))
-                                  : frame_error(result.code());
     handled_.fetch_add(1, std::memory_order_relaxed);
     agg_handled_->inc();
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(shared_msg->source, std::move(resp));
+    respond_(*shared_msg, result.is_ok() ? frame_ok(std::move(*result))
+                                         : frame_error(result.code()));
   });
-  if (!posted) {
-    net::Message resp;
-    resp.kind = net::MessageKind::response;
-    resp.seq = shared_msg->seq;
-    resp.trace_id = shared_msg->trace_id;
-    resp.source = self_;
-    resp.payload = frame_error(Errc::disconnected);
-    // status-ignored-ok: best-effort error reply; the caller times out regardless
-    (void)fabric_.send(shared_msg->source, std::move(resp));
-  }
+  if (!posted) respond_(*shared_msg, frame_error(Errc::disconnected));
 }
 
 void Engine::complete_response_(net::Message msg) {

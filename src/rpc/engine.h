@@ -1,12 +1,20 @@
 // RPC engine standing in for Mercury+Margo.
 //
 // Each GekkoFS daemon and each client owns an Engine. The engine:
-//  - registers an endpoint on the shared Fabric,
-//  - runs a progress thread that drains the inbox (Margo progress ULT),
-//  - dispatches incoming requests onto a handler Pool (Margo handler
-//    xstreams),
+//  - registers an endpoint on the shared Fabric and attaches to its
+//    inbox, so the fabric hands it each message on the thread that
+//    delivered it (Mercury's HG_Trigger: callbacks run on the thread
+//    that triggers them, no progress thread of its own),
+//  - completes a response right there, waking the caller,
+//  - dispatches a request onto a handler Pool (Margo handler xstreams),
+//    which the first register_rpc() creates: a sender-only engine
+//    starts no thread at all,
 //  - implements blocking forward() with sequence-matched responses and
 //    timeouts (margo_forward + margo_wait).
+//
+// Delivery runs on fabric threads (a TCP event loop, a UDS reader, a
+// loopback sender), so it never blocks: it takes the rpc.engine.*
+// locks, the pool's queue and the caller's eventual, nothing else.
 //
 // Handlers receive the raw request (including any exposed bulk region)
 // and return a serialized response payload or an error code, which is
@@ -23,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +50,8 @@ using Handler =
     std::function<Result<std::vector<std::uint8_t>>(const net::Message&)>;
 
 struct EngineOptions {
-  /// Handler pool width (Margo: number of handler xstreams).
+  /// Handler pool width (Margo: number of handler xstreams). The pool
+  /// starts with the first register_rpc().
   std::size_t handler_threads = 2;
   /// Per-attempt forward() deadline (margo_forward_timed analog).
   std::chrono::milliseconds rpc_timeout{5000};
@@ -74,7 +82,7 @@ struct EngineOptions {
   /// to close the accept-before-handlers window: without it a client
   /// that connects the moment the listener appears can have a valid
   /// request bounced with not_supported. Early frames queue in the
-  /// fabric inbox and dispatch on start().
+  /// fabric inbox and are delivered, each once, by start().
   bool start_paused = false;
 };
 
@@ -88,11 +96,12 @@ class Engine {
 
   /// Register a handler for an RPC id. Must happen before requests for
   /// that id arrive; re-registration replaces (single-threaded setup).
+  /// The first registration starts the handler pool.
   void register_rpc(std::uint16_t rpc_id, std::string name, Handler handler);
 
-  /// Begin dispatching when constructed with start_paused. Call once
-  /// from the constructing thread after registration; no-op when the
-  /// engine already runs or has shut down.
+  /// Begin delivery when constructed with start_paused. Call once from
+  /// the constructing thread after registration; no-op when the engine
+  /// already runs, has shut down, or holds no endpoint.
   void start();
 
   /// Send a request and block for the response payload.
@@ -154,9 +163,14 @@ class Engine {
   Result<std::vector<std::uint8_t>> finish(PendingCall& call,
                                            std::chrono::milliseconds timeout);
 
-  /// Stop the progress thread and handler pool. Idempotent.
+  /// Stop delivery and the handler pool, then fail pending forwards.
+  /// Returns once no delivery into this engine runs and none can start.
+  /// Idempotent. Never call it from a handler or a delivery.
   void shutdown();
 
+  /// kInvalidEndpoint when the fabric refused the registration (e.g. a
+  /// daemon whose listen address is taken); such an engine delivers
+  /// nothing.
   [[nodiscard]] net::EndpointId endpoint() const noexcept { return self_; }
   [[nodiscard]] net::Fabric& fabric() noexcept { return fabric_; }
   [[nodiscard]] const std::string& name() const noexcept {
@@ -196,11 +210,10 @@ class Engine {
     metrics::Counter* handled;
     metrics::Counter* errors;
     metrics::Histogram* latency;  // handler service time, ns
-    metrics::Histogram* queue;    // progress-thread enqueue → start, ns
+    metrics::Histogram* queue;    // dispatch → handler start, ns
     metrics::Gauge* inflight;
   };
 
-  void progress_loop_();
   [[nodiscard]] std::chrono::milliseconds jittered_(
       std::chrono::milliseconds base, std::uint64_t seed) const;
   /// begin_forward with explicit trace lineage: `trace_id` 0 mints a
@@ -213,8 +226,13 @@ class Engine {
                                     std::uint64_t trace_id,
                                     std::uint64_t parent_span_id,
                                     std::uint32_t attempt);
+  /// Inbox receiver: runs on the delivering fabric thread.
+  void deliver_(net::Message msg);
   void dispatch_request_(net::Message msg);
   void complete_response_(net::Message msg);
+  /// Best-effort response to `request` (the caller times out if lost).
+  void respond_(const net::Message& request,
+                std::vector<std::uint8_t> payload);
   CallerMetrics* caller_metrics_for_(std::uint16_t rpc_id);
   [[nodiscard]] std::string rpc_name_(std::uint16_t rpc_id) const;
 
@@ -223,9 +241,7 @@ class Engine {
   metrics::Registry* registry_;  // resolved from options_, never null
   metrics::Tracer* tracer_;      // resolved from options_, never null
   net::EndpointId self_;
-  std::shared_ptr<net::Inbox> inbox_;
-  task::Pool handler_pool_;
-  std::thread progress_;
+  std::shared_ptr<net::Inbox> inbox_;  // null if registration failed
 
   Mutex rpc_mutex_{"rpc.engine.table", lockdep::rank::kEngineRpcTable};
   struct RpcEntry {
@@ -235,6 +251,9 @@ class Engine {
   };
   std::unordered_map<std::uint16_t, RpcEntry> rpcs_
       GEKKO_GUARDED_BY(rpc_mutex_);
+  /// Created by the first register_rpc(), destroyed with the engine;
+  /// dispatch reads the pointer under rpc_mutex_ and posts without it.
+  std::unique_ptr<task::Pool> handler_pool_ GEKKO_GUARDED_BY(rpc_mutex_);
 
   /// Caller metrics per rpc id: lock-free lookup via an atomic slot
   /// array (ids beyond the table share the last slot, labelled by the

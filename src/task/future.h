@@ -1,6 +1,6 @@
 // Eventual<T>: one-shot synchronization cell, after ABT_eventual /
-// margo_request. An RPC forward sets the eventual from the progress
-// thread; the caller waits (with optional deadline).
+// margo_request. The fabric thread that delivers an RPC's response sets
+// the eventual; the caller waits (with optional deadline).
 #pragma once
 
 #include <cassert>

@@ -298,6 +298,8 @@ TEST_F(MountTest, CachedLateWriteFailsAtClose) {
   ASSERT_TRUE(mnt_->unlink("/g").is_ok());
   EXPECT_TRUE(cached->pwrite(*fd, bytes("late"), 0).is_ok());
   EXPECT_EQ(cached->close(*fd).code(), Errc::not_found);
+  // The failed close still released the fd, as POSIX close() does.
+  EXPECT_EQ(cached->close(*fd).code(), Errc::bad_fd);
   EXPECT_EQ(mnt_->stat("/g").code(), Errc::not_found);
 }
 

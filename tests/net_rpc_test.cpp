@@ -2,11 +2,15 @@
 // injection, handler dispatch, timeouts, concurrent forwards.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include "common/lockdep.h"
+#include "delivery_teardown.h"
 #include "net/fabric.h"
 #include "rpc/engine.h"
 #include "task/future.h"
@@ -322,23 +326,105 @@ TEST_F(RpcTest, PipelinedBeginFinish) {
 
 // Regression for the daemon startup window: the listener binds before
 // handlers exist, so a fast client's first rpc used to bounce with
-// not_supported. With start_paused the early request queues in the
-// inbox and dispatches once the owner calls start().
+// not_supported. With start_paused early requests queue in the inbox
+// and start() delivers each of them exactly once.
 TEST_F(RpcTest, StartPausedHoldsDispatchUntilHandlersRegistered) {
   rpc::Engine server(fabric_, {.name = "server", .start_paused = true});
   rpc::Engine client(fabric_, {.name = "client"});
+  constexpr std::uint8_t kCalls = 16;
+  std::array<std::atomic<int>, kCalls> runs{};
 
-  // Sent while the server accepts traffic but has no handlers yet.
-  auto call = client.begin_forward(server.endpoint(), 1, {7});
+  // The first half is sent while the server accepts traffic but has no
+  // handlers yet, the second half after registration but before start().
+  std::vector<rpc::Engine::PendingCall> calls;
+  for (std::uint8_t i = 0; i < kCalls / 2; ++i) {
+    calls.push_back(client.begin_forward(server.endpoint(), 1, {i}));
+  }
+  server.register_rpc(1, "echo", [&runs](const net::Message& msg) {
+    runs[msg.payload.at(0)].fetch_add(1);
+    return Result<std::vector<std::uint8_t>>(msg.payload);
+  });
+  for (std::uint8_t i = kCalls / 2; i < kCalls; ++i) {
+    calls.push_back(client.begin_forward(server.endpoint(), 1, {i}));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (const auto& n : runs) EXPECT_EQ(n.load(), 0);
 
+  server.start();
+  server.start();  // a second start delivers nothing twice
+  for (std::uint8_t i = 0; i < kCalls; ++i) {
+    auto r = client.finish(calls[i]);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    EXPECT_EQ((*r)[0], i);
+  }
+  server.shutdown();  // drains the handler pool
+  for (const auto& n : runs) EXPECT_EQ(n.load(), 1);
+  EXPECT_EQ(server.requests_handled(), kCalls);
+}
+
+// Loopback delivery runs on the sender's thread, straight into the
+// serving engine; shutdown() must wait those deliveries out.
+TEST_F(RpcTest, ShutdownUnderLoadWaitsOutDeliveries) {
+  test::shutdown_under_load(fabric_, fabric_);
+}
+
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+/// A joined thread may linger in the count for a moment while the
+/// kernel finishes its exit.
+std::size_t thread_count_settled(std::size_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t n = thread_count();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = thread_count();
+  }
+  return n;
+}
+
+// Engines run no progress thread: a sender-only engine starts no
+// thread at all, and the handler pool starts with the first handler.
+TEST_F(RpcTest, SenderOnlyEngineStartsNoThreads) {
+  rpc::Engine server(fabric_, {.name = "server"});
   server.register_rpc(1, "echo", [](const net::Message& msg) {
     return Result<std::vector<std::uint8_t>>(msg.payload);
   });
-  server.start();
-  auto r = client.finish(call);
+  const std::size_t base = thread_count();
+  ASSERT_GT(base, 0u);
+
+  rpc::EngineOptions opts;
+  opts.name = "sender";
+  opts.handler_threads = 3;
+  rpc::Engine engine(fabric_, opts);
+  EXPECT_EQ(thread_count(), base);
+  auto r = engine.forward(server.endpoint(), 1, {5});
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ((*r)[0], 7);
+  EXPECT_EQ(thread_count(), base);
+  // Refused without a pool: the engine has no handler for the id.
+  EXPECT_EQ(server.forward(engine.endpoint(), 1, {}).code(),
+            Errc::not_supported);
+  EXPECT_EQ(thread_count(), base);
+
+  engine.register_rpc(1, "echo", [](const net::Message& msg) {
+    return Result<std::vector<std::uint8_t>>(msg.payload);
+  });
+  EXPECT_EQ(thread_count(), base + opts.handler_threads);
+  engine.register_rpc(2, "echo2", [](const net::Message& msg) {
+    return Result<std::vector<std::uint8_t>>(msg.payload);
+  });
+  EXPECT_EQ(thread_count(), base + opts.handler_threads);
+  EXPECT_TRUE(server.forward(engine.endpoint(), 2, {}).is_ok());
+
+  engine.shutdown();
+  EXPECT_EQ(thread_count_settled(base), base);
 }
 
 }  // namespace

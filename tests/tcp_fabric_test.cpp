@@ -6,18 +6,23 @@
 // fan-in that exercises connection multiplexing across the loop pool.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <thread>
 
 #include "client/client.h"
+#include "common/fileio.h"
 #include "common/metrics.h"
 #include "daemon/daemon.h"
 #include "fs/mount.h"
 #include "net/tcp_fabric.h"
 #include "net/transport.h"
 #include "rpc/engine.h"
+#include "delivery_teardown.h"
 
 namespace gekko {
 namespace {
@@ -332,6 +337,50 @@ TEST_F(TcpFabricTest, ManyClientsFanIn) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The epoll loops deliver straight into the engines on both sides; the
+// serving engine's shutdown tears its fabric down and must wait out the
+// loop threads' running deliveries.
+TEST_F(TcpFabricTest, ShutdownUnderLoadWaitsOutDeliveries) {
+  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  ASSERT_TRUE(hostfile.is_ok());
+  auto server_fabric =
+      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  ASSERT_TRUE(server_fabric.is_ok()) << server_fabric.status().to_string();
+  auto client_fabric = net::TcpFabric::create(*hostfile, {});
+  ASSERT_TRUE(client_fabric.is_ok());
+  test::shutdown_under_load(**server_fabric, **client_fabric);
+}
+
+// A daemon whose listen port is taken reports it as an error instead of
+// running an engine with no endpoint.
+TEST_F(TcpFabricTest, DaemonStartFailsWhenPortIsHeld) {
+  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  ASSERT_TRUE(hostfile.is_ok());
+  auto content = io::read_file(*hostfile);
+  ASSERT_TRUE(content.is_ok());
+  auto hosts = net::parse_hostfile(*content);
+  ASSERT_TRUE(hosts.is_ok());
+  const std::string& addr = hosts->at(0);
+  const int port = std::stoi(addr.substr(addr.rfind(':') + 1));
+
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  sa.sin_port = htons(static_cast<std::uint16_t>(port));
+  ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+
+  auto fabric =
+      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
+  auto daemon = daemon::GekkoDaemon::start(**fabric, dir_ / "node0", {});
+  EXPECT_FALSE(daemon.is_ok());
+  EXPECT_EQ(daemon.code(), Errc::io_error);
+  ::close(holder);
 }
 
 }  // namespace

@@ -257,7 +257,6 @@ int run_live_mode(const char* hostfile, bool json) {
   }
   gekko::rpc::EngineOptions eopts;
   eopts.name = "gkfs-debug";
-  eopts.handler_threads = 1;
   eopts.rpc_timeout = std::chrono::milliseconds{2000};
   eopts.rpc_name = gekko::proto::rpc_name;
   gekko::rpc::Engine engine(**fabric, eopts);

@@ -262,7 +262,6 @@ int main(int argc, char** argv) {
   }
   gekko::rpc::EngineOptions eopts;
   eopts.name = "gkfs-mon";
-  eopts.handler_threads = 1;
   eopts.rpc_timeout = std::chrono::milliseconds{2000};
   eopts.rpc_name = gekko::proto::rpc_name;
   gekko::rpc::Engine engine(**fabric, eopts);

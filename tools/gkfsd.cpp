@@ -152,10 +152,6 @@ int main(int argc, char** argv) {
                  daemon.status().to_string().c_str());
     return 1;
   }
-  if ((*daemon)->endpoint() != self_id) {
-    std::fprintf(stderr, "gkfsd: endpoint registration failed\n");
-    return 1;
-  }
   if ((*daemon)->metrics_http_port() >= 0) {
     // Parsed by scrape configs and tests (resolves --metrics-port 0).
     std::fprintf(stderr, "gkfsd: metrics-port %u %d\n", self_id,
