@@ -2,7 +2,7 @@
 // client-count sweep against two in-process daemons, all traffic over
 // real TCP sockets, emitting BENCH_net_scale.json.
 //
-// Each client is its own thread with its OWN TcpFabric (one
+// Each client is its own thread with its OWN StreamFabric (one
 // connection per daemon) and mount, hammering small metadata RPCs
 // (stat) for a fixed window. The thing under test is the daemon-side
 // event loop: N clients mean N concurrent connections multiplexed
@@ -30,7 +30,7 @@
 #include "common/metrics.h"
 #include "daemon/daemon.h"
 #include "fs/mount.h"
-#include "net/tcp_fabric.h"
+#include "net/stream_fabric.h"
 #include "net/transport.h"
 
 using namespace gekko;
@@ -60,7 +60,7 @@ Result<Point> run_point(const std::filesystem::path& hostfile,
   for (std::uint32_t c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
       net::MakeFabricOptions fopts;
-      fopts.tcp_event_loops = 1;  // one loop thread per client fabric
+      fopts.event_loops = 1;  // one loop thread per client fabric
       auto fabric = net::make_fabric(hostfile, fopts);
       if (!fabric) {
         failures.fetch_add(1);
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   const char* out_path = argc > 1 ? argv[1] : "BENCH_net_scale.json";
   bench::print_header(
       "NET SCALE — client-count sweep over the TCP fabric\n"
-      "(2 daemons, one epoll-driven TcpFabric per side; gate: ops/s at\n"
+      "(2 daemons, one epoll-driven StreamFabric per side; gate: ops/s at\n"
       " 10x clients >= 0.8 x peak across the sweep)");
 
   const auto root = std::filesystem::temp_directory_path() /
@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(root);
   std::filesystem::create_directories(root);
 
-  auto hostfile = net::TcpFabric::write_hostfile(root / "net", kDaemons);
+  auto hostfile = net::StreamFabric::write_hostfile(root / "net", kDaemons,
+                                                    net::Transport::tcp);
   if (!hostfile) {
     std::fprintf(stderr, "hostfile: %s\n",
                  hostfile.status().to_string().c_str());
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   }
 
   // Daemons: in-process, each on its own TCP fabric.
-  std::vector<std::unique_ptr<net::HostedFabric>> daemon_fabrics;
+  std::vector<std::unique_ptr<net::StreamFabric>> daemon_fabrics;
   std::vector<std::unique_ptr<daemon::GekkoDaemon>> daemons;
   for (std::uint32_t i = 0; i < kDaemons; ++i) {
     net::MakeFabricOptions fopts;

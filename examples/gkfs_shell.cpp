@@ -23,7 +23,7 @@
 
 #include "cluster/cluster.h"
 #include "common/units.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 
 using namespace gekko;
 
@@ -63,7 +63,7 @@ Result<std::vector<std::uint8_t>> read_whole(fs::Mount& mnt,
 
 int main(int argc, char** argv) {
   std::unique_ptr<cluster::Cluster> cluster;
-  std::unique_ptr<net::HostedFabric> socket_fabric;
+  std::unique_ptr<net::StreamFabric> socket_fabric;
   std::unique_ptr<fs::Mount> mnt;
 
   if (argc > 2 && std::string(argv[1]) == "--attach") {

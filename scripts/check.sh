@@ -58,7 +58,7 @@ echo "== check.sh: full test suite (lockdep on)"
 echo "== check.sh: transport suites x10 (lockdep on)"
 (cd "${BUILD_DIR}" && GEKKO_LOCKDEP=1 ctest --output-on-failure \
     --repeat until-fail:10 \
-    -R '^(net_rpc_test|tcp_fabric_test|socket_fabric_test|net_stress_test|fault_injection_test)$')
+    -R '^(net_rpc_test|tcp_fabric_test|uds_fabric_test|net_stress_test|fault_injection_test)$')
 
 # Deterministic fuzz smoke: corpus replay + a fixed mutation budget per
 # decoder family, in a dedicated ASan+UBSan build (the fuzz harnesses

@@ -2,12 +2,10 @@
 
 #include "common/fileio.h"
 #include "common/logging.h"
-#include "net/socket_fabric.h"
-#include "net/tcp_fabric.h"
 
 namespace gekko::cluster {
 
-Result<std::unique_ptr<net::HostedFabric>> Cluster::make_daemon_fabric_(
+Result<std::unique_ptr<net::StreamFabric>> Cluster::make_daemon_fabric_(
     std::uint32_t daemon_id) {
   net::MakeFabricOptions fopts;
   fopts.self_id = daemon_id;
@@ -26,14 +24,11 @@ Result<std::unique_ptr<Cluster>> Cluster::start(ClusterOptions options) {
 
   // Hosted transports: write the hostfile first (the address is what
   // selects the transport from here on).
-  if (c->options_.transport == ClusterTransport::uds) {
-    auto hostfile = net::SocketFabric::write_hostfile(
-        c->options_.root / "net", c->options_.nodes);
-    if (!hostfile) return hostfile.status();
-    c->hostfile_ = std::move(*hostfile);
-  } else if (c->options_.transport == ClusterTransport::tcp) {
-    auto hostfile = net::TcpFabric::write_hostfile(c->options_.root / "net",
-                                                   c->options_.nodes);
+  if (c->options_.transport != ClusterTransport::loopback) {
+    auto hostfile = net::StreamFabric::write_hostfile(
+        c->options_.root / "net", c->options_.nodes,
+        c->options_.transport == ClusterTransport::tcp ? net::Transport::tcp
+                                                       : net::Transport::uds);
     if (!hostfile) return hostfile.status();
     c->hostfile_ = std::move(*hostfile);
   }

@@ -16,15 +16,15 @@
 #include "daemon/daemon.h"
 #include "fs/mount.h"
 #include "net/fabric.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 
 namespace gekko::cluster {
 
 /// What the cluster's daemons and mounts talk over.
 enum class ClusterTransport {
   loopback,  // one shared in-process LoopbackFabric (the default)
-  uds,       // one SocketFabric per daemon/mount over Unix sockets
-  tcp,       // one TcpFabric per daemon/mount over real TCP + epoll
+  uds,       // one StreamFabric per daemon/mount over Unix sockets
+  tcp,       // one StreamFabric per daemon/mount over TCP
 };
 
 struct ClusterOptions {
@@ -77,7 +77,7 @@ class Cluster {
  private:
   explicit Cluster(ClusterOptions options) : options_(std::move(options)) {}
 
-  Result<std::unique_ptr<net::HostedFabric>> make_daemon_fabric_(
+  Result<std::unique_ptr<net::StreamFabric>> make_daemon_fabric_(
       std::uint32_t daemon_id);
 
   ClusterOptions options_;
@@ -87,8 +87,8 @@ class Cluster {
   /// mount() gets its own client fabric (one endpoint per hosted
   /// fabric). Both are cluster-owned: mounts must not outlive the
   /// cluster, same contract as the loopback fabric_.
-  std::vector<std::unique_ptr<net::HostedFabric>> daemon_fabrics_;
-  std::vector<std::unique_ptr<net::HostedFabric>> client_fabrics_;
+  std::vector<std::unique_ptr<net::StreamFabric>> daemon_fabrics_;
+  std::vector<std::unique_ptr<net::StreamFabric>> client_fabrics_;
   std::vector<std::unique_ptr<daemon::GekkoDaemon>> daemons_;
   std::chrono::nanoseconds bootstrap_time_{0};
 };

@@ -15,7 +15,7 @@
 // mutex but happens once per name; callers cache the reference.
 //
 // Metric naming scheme: `layer.op.metric`, e.g. `rpc.caller.stat.sent`,
-// `daemon.write_chunks.latency`, `kv.compactions`, `net.socket.bytes_out`.
+// `daemon.write_chunks.latency`, `kv.compactions`, `net.uds.bytes_out`.
 //
 // snapshot() walks the registry under its mutex while recorders keep
 // going (relaxed reads may be a few events stale — fine for telemetry)

@@ -15,6 +15,7 @@
 #include "common/trace.h"
 #include "common/units.h"
 #include "kv/cache.h"
+#include "net/frame_codec.h"
 #include "proto/messages.h"
 #include "task/future.h"
 
@@ -349,14 +350,21 @@ Result<std::vector<std::uint8_t>> GekkoDaemon::chunk_io_(
   auto req = proto::ChunkIoRequest::decode(payload_view(msg));
   if (!req) return req.status();
 
-  // Validate every slice against the chunk geometry BEFORE any buffer
-  // is sized from a wire-supplied length.
+  // Validate every slice against the chunk geometry and the request's
+  // bulk region BEFORE any buffer is sized from a wire-supplied length
+  // and before any slice runs, so a bad slice never leaves the request
+  // half-applied. The bulk check is overflow-safe: an offset near 2^64
+  // must not wrap past the region's end.
   const std::uint64_t cs = options_.chunk_size;
   for (const auto& slice : req->slices) {
     if (slice.length > cs ||
         static_cast<std::uint64_t>(slice.offset_in_chunk) + slice.length >
             cs) {
       return Status{Errc::invalid_argument, "slice crosses chunk boundary"};
+    }
+    if (!net::wire::range_in_bounds(slice.bulk_offset, slice.length,
+                                    msg.bulk.size())) {
+      return Status{Errc::invalid_argument, "slice outside bulk region"};
     }
   }
 

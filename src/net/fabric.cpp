@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/thread_annotations.h"
+#include "net/frame_codec.h"
 
 namespace gekko::net {
 
@@ -126,17 +127,12 @@ Status LoopbackFabric::send(EndpointId dest, Message msg) {
   std::shared_ptr<Inbox> inbox;
   {
     LockGuard lock(mutex_);
-    ++send_counter_;
     if (dest >= inboxes_.size() || !inboxes_[dest]) {
       return Status{Errc::disconnected, "unknown endpoint"};
     }
-    const bool blackholed = fault_plan_.blackhole == dest;
-    const bool dropped =
-        fault_plan_.drop_one_in != 0 &&
-        (send_counter_ % fault_plan_.drop_one_in) == 0;
     // Loopback has no connections; kill_connection degrades to losing
     // the message (the closest observable effect).
-    if (blackholed || dropped || fault.drop || fault.kill_connection) {
+    if (fault.drop || fault.kill_connection) {
       ++stats_.messages_dropped;
       m_.drops->inc();
       return Status::ok();  // silent loss, sender can't observe it
@@ -166,20 +162,10 @@ void LoopbackFabric::deregister(EndpointId id) {
   if (inbox) inbox->close();
 }
 
-void LoopbackFabric::set_fault_plan(FaultPlan plan) {
-  LockGuard lock(mutex_);
-  fault_plan_ = plan;
-}
-
-FaultPlan LoopbackFabric::fault_plan() const {
-  LockGuard lock(mutex_);
-  return fault_plan_;
-}
-
 Status LoopbackFabric::bulk_pull(const BulkRegion& region, std::size_t offset,
                          std::span<std::uint8_t> out) {
   if (!region.valid()) return Status{Errc::invalid_argument, "invalid bulk"};
-  if (offset + out.size() > region.size()) {
+  if (!wire::range_in_bounds(offset, out.size(), region.size())) {
     return Status{Errc::overflow, "bulk pull out of range"};
   }
   std::memcpy(out.data(), region.read_ptr() + offset, out.size());
@@ -193,7 +179,7 @@ Status LoopbackFabric::bulk_push(const BulkRegion& region, std::size_t offset,
   if (!region.valid() || !region.writable()) {
     return Status{Errc::invalid_argument, "bulk region not writable"};
   }
-  if (offset + data.size() > region.size()) {
+  if (!wire::range_in_bounds(offset, data.size(), region.size())) {
     return Status{Errc::overflow, "bulk push out of range"};
   }
   std::memcpy(region.write_ptr() + offset, data.data(), data.size());

@@ -2,15 +2,14 @@
 //
 // A Fabric is what Mercury's transport layer is to GekkoFS: endpoints
 // register, messages are delivered reliably to inboxes, and bulk
-// regions support one-sided-style transfers. Three implementations:
+// regions support one-sided-style transfers. Two implementations:
 //  - LoopbackFabric (here): all endpoints in one process; bulk ops are
 //    memcpys. Used by tests, benches, and the in-process cluster.
-//  - SocketFabric (socket_fabric.h): endpoints across PROCESSES over
-//    Unix-domain sockets with a hostfile, for real `gkfsd` daemons.
-//    Bulk data is inlined into frames (Mercury's send/recv fallback
-//    path when RDMA is unavailable).
-//  - TcpFabric (tcp_fabric.h): the same frames over TCP, multiplexed
-//    onto a few epoll event loops.
+//  - StreamFabric (stream_fabric.h): endpoints across PROCESSES with a
+//    hostfile, for real `gkfsd` daemons, over Unix-domain sockets or
+//    TCP, multiplexed onto a few epoll event loops. Bulk data is
+//    inlined into frames (Mercury's send/recv fallback path when RDMA
+//    is unavailable).
 #pragma once
 
 #include <atomic>
@@ -39,15 +38,6 @@ struct TrafficStats {
   std::uint64_t bulk_bytes_pushed = 0;
 };
 
-/// Fault plan evaluated on every send. Used by tests and failure-injection
-/// benches. All fields default to "healthy network".
-struct FaultPlan {
-  /// Drop every message towards this endpoint (daemon crash).
-  EndpointId blackhole = kInvalidEndpoint;
-  /// Drop 1 in `drop_one_in` messages (0 = never).
-  std::uint64_t drop_one_in = 0;
-};
-
 /// One-shot fault decision for a single send(). Fields combine: e.g.
 /// kill_connection + drop simulates a daemon dying mid-RPC (the link is
 /// severed AND the in-flight message is lost).
@@ -58,7 +48,7 @@ struct FaultAction {
   /// Deliver the message twice (retransmission race).
   bool duplicate = false;
   /// Sever the transport link the message would travel over BEFORE
-  /// transmitting. SocketFabric shuts the connection down (the next
+  /// transmitting. StreamFabric shuts the connection down (the next
   /// send redials); the loopback fabric has no connections and treats
   /// this as dropping the message.
   bool kill_connection = false;
@@ -66,10 +56,10 @@ struct FaultAction {
   std::chrono::milliseconds delay{0};
 };
 
-/// Deterministic fault hook consulted on every send(). Richer than
-/// FaultPlan: tests script per-message drops, delays, duplicates, and
-/// connection kills — the lifecycle events libfabric surfaces to
-/// Mercury, reproduced without a flaky network.
+/// Deterministic fault hook consulted on every send(): tests script
+/// per-message drops, delays, duplicates, and connection kills — the
+/// lifecycle events libfabric surfaces to Mercury, reproduced without
+/// a flaky network.
 class FaultInjector {
  public:
   virtual ~FaultInjector() = default;
@@ -141,8 +131,8 @@ class Fabric {
 };
 
 /// An endpoint's receive side. Every fabric delivers through push(),
-/// on the thread that has the message: the loopback sender, the TCP
-/// event loop, the UDS connection reader. Once a receiver is attached,
+/// on the thread that has the message: the loopback sender or the
+/// stream fabric's event loop. Once a receiver is attached,
 /// push() hands it the message right there, so a response wakes its
 /// caller directly (Mercury's HG_Trigger also runs callbacks on the
 /// thread that triggers them). Until then messages queue, and tests
@@ -195,9 +185,6 @@ class LoopbackFabric final : public Fabric {
 
   void deregister(EndpointId id) override;
 
-  void set_fault_plan(FaultPlan plan);
-  [[nodiscard]] FaultPlan fault_plan() const;
-
   Status bulk_pull(const BulkRegion& region, std::size_t offset,
                    std::span<std::uint8_t> out) override;
   Status bulk_push(const BulkRegion& region, std::size_t offset,
@@ -210,8 +197,6 @@ class LoopbackFabric final : public Fabric {
   mutable Mutex mutex_{"net.loopback", lockdep::rank::kLoopback};
   std::vector<std::shared_ptr<Inbox>> inboxes_
       GEKKO_GUARDED_BY(mutex_);  // index == EndpointId
-  FaultPlan fault_plan_ GEKKO_GUARDED_BY(mutex_){};
-  std::uint64_t send_counter_ GEKKO_GUARDED_BY(mutex_) = 0;
   TrafficStats stats_ GEKKO_GUARDED_BY(mutex_){};
   std::atomic<std::uint64_t> bulk_pulled_{0};
   std::atomic<std::uint64_t> bulk_pushed_{0};

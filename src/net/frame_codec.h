@@ -1,5 +1,5 @@
-// Wire-frame codec shared by every stream transport (SocketFabric
-// over Unix-domain sockets, TcpFabric over TCP). One frame on the
+// Wire-frame codec of the stream fabric (stream_fabric.h), the same
+// over Unix-domain sockets and TCP. One frame on the
 // wire is:
 //
 //   [u32 frame_len][kind u8][rpc_id u16][seq u64][source u32]
@@ -83,7 +83,7 @@ struct EncodedFrame {
     return kLenPrefixBytes + frame_len;
   }
   /// External (gathered, not copied) segment count — the
-  /// fabric.writev_segments metric counts these.
+  /// net.{uds,tcp}.writev_segments metrics count these.
   [[nodiscard]] std::size_t segment_count() const noexcept {
     return ext.size();
   }

@@ -1,6 +1,6 @@
 // relaxed-ok: next_loop_ is a round-robin ticket counter; any
 // interleaving yields a valid loop assignment.
-#include "net/tcp_fabric.h"
+#include "net/stream_fabric.h"
 #include "common/flight_recorder.h"
 #include "common/thread_annotations.h"
 
@@ -14,6 +14,7 @@
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -69,6 +70,45 @@ Result<sockaddr_in> resolve_ipv4(const std::string& hostport) {
   return sa;
 }
 
+/// A socket address of either family, ready for bind()/connect().
+struct SockAddr {
+  sockaddr_storage storage{};
+  socklen_t len = 0;
+
+  [[nodiscard]] int family() const noexcept { return storage.ss_family; }
+  [[nodiscard]] const sockaddr* get() const noexcept {
+    return reinterpret_cast<const sockaddr*>(&storage);
+  }
+};
+
+/// The one place the address family shapes an address: a socket path
+/// becomes sockaddr_un, "host:port" becomes sockaddr_in.
+Result<SockAddr> make_sockaddr(Transport transport,
+                               const std::string& address) {
+  SockAddr out;
+  if (transport == Transport::tcp) {
+    auto sa = resolve_ipv4(address);
+    if (!sa) return sa.status();
+    std::memcpy(&out.storage, &*sa, sizeof(*sa));
+    out.len = sizeof(*sa);
+    return out;
+  }
+  auto* un = reinterpret_cast<sockaddr_un*>(&out.storage);
+  un->sun_family = AF_UNIX;
+  // Silently truncating would dial (or bind) a wrong, likely
+  // nonexistent socket and report a confusing error instead of the
+  // actual misconfiguration.
+  if (address.size() >= sizeof(un->sun_path)) {
+    return Status{Errc::invalid_argument, "socket path too long: " + address};
+  }
+  std::memcpy(un->sun_path, address.c_str(), address.size() + 1);
+  out.len = sizeof(sockaddr_un);
+  return out;
+}
+
+/// Pending connections a listener queues before accept().
+constexpr int kListenBacklog = 128;
+
 void set_nodelay(int fd) {
   const int one = 1;
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -109,7 +149,7 @@ WriteRc try_writev(int fd, std::vector<iovec>& iov, std::size_t& idx) {
 
 }  // namespace
 
-TcpFabric::Conn::~Conn() {
+StreamFabric::Conn::~Conn() {
   if (fd >= 0) ::close(fd);
 }
 
@@ -119,9 +159,9 @@ TcpFabric::Conn::~Conn() {
 // loop lock, then dispatched WITHOUT it — handlers take fabric locks
 // (conn/reply/bulk) and per-conn out locks freely.
 // ---------------------------------------------------------------------------
-class TcpFabric::EventLoop {
+class StreamFabric::EventLoop {
  public:
-  explicit EventLoop(TcpFabric* owner) : owner_(owner) {}
+  explicit EventLoop(StreamFabric* owner) : owner_(owner) {}
 
   ~EventLoop() {
     stop();
@@ -240,60 +280,84 @@ class TcpFabric::EventLoop {
     }
   }
 
-  TcpFabric* owner_;
+  StreamFabric* owner_;
   int epfd_ = -1;
   int wake_fd_ = -1;
   std::atomic<int> listen_fd_{-1};
   std::atomic<bool> stop_{false};
-  Mutex mutex_{"net.tcp.loop", lockdep::rank::kTcpLoop};
+  Mutex mutex_{"net.stream.loop", lockdep::rank::kStreamLoop};
   std::map<int, std::shared_ptr<Conn>> conns_ GEKKO_GUARDED_BY(mutex_);
   std::thread thread_;
 };
 
 // ---------------------------------------------------------------------------
-// TcpFabric
+// StreamFabric
 // ---------------------------------------------------------------------------
 
-TcpFabric::TcpFabric(TcpFabricOptions options) : options_(options) {
+StreamFabric::StreamFabric(const MakeFabricOptions& options)
+    : options_(options) {
   if (options_.event_loops == 0) options_.event_loops = 2;
+  const std::string prefix =
+      options_.transport == Transport::tcp ? "net.tcp." : "net.uds.";
   auto& reg = metrics::Registry::global();
-  m_.frames_out = &reg.counter("net.tcp.frames_out");
-  m_.frames_in = &reg.counter("net.tcp.frames_in");
-  m_.bytes_out = &reg.counter("net.tcp.bytes_out");
-  m_.bytes_in = &reg.counter("net.tcp.bytes_in");
-  m_.dials = &reg.counter("net.tcp.dials");
-  m_.redials = &reg.counter("net.tcp.redials");
-  m_.evictions = &reg.counter("net.tcp.evictions");
-  m_.writev_segments = &reg.counter("net.tcp.writev_segments");
-  m_.flushes = &reg.counter("net.tcp.flushes");
-  m_.coalesced_frames = &reg.counter("net.tcp.coalesced_frames");
+  m_.frames_out = &reg.counter(prefix + "frames_out");
+  m_.frames_in = &reg.counter(prefix + "frames_in");
+  m_.bytes_out = &reg.counter(prefix + "bytes_out");
+  m_.bytes_in = &reg.counter(prefix + "bytes_in");
+  m_.dials = &reg.counter(prefix + "dials");
+  m_.redials = &reg.counter(prefix + "redials");
+  m_.evictions = &reg.counter(prefix + "evictions");
+  m_.writev_segments = &reg.counter(prefix + "writev_segments");
+  m_.flushes = &reg.counter(prefix + "flushes");
+  m_.coalesced_frames = &reg.counter(prefix + "coalesced_frames");
 }
 
-Result<std::unique_ptr<TcpFabric>> TcpFabric::create(
-    const std::filesystem::path& hostfile, TcpFabricOptions options) {
+Result<std::unique_ptr<StreamFabric>> StreamFabric::create(
+    const std::filesystem::path& hostfile, const MakeFabricOptions& options) {
   auto content = io::read_file(hostfile);
   if (!content) return content.status();
-
-  std::unique_ptr<TcpFabric> fabric(new TcpFabric(options));
   auto hosts = parse_hostfile(*content);
   if (!hosts) return hosts.status();
-  fabric->hosts_ = std::move(*hosts);
+  auto transport = hostfile_transport(*hosts, options.transport);
+  if (!transport) return transport.status();
   if (options.self_id != kInvalidEndpoint &&
-      !fabric->hosts_.contains(options.self_id)) {
+      !hosts->contains(options.self_id)) {
     return Status{Errc::invalid_argument, "self_id not in hostfile"};
   }
+  MakeFabricOptions resolved = options;
+  resolved.transport = *transport;
+  std::unique_ptr<StreamFabric> fabric(new StreamFabric(resolved));
+  fabric->hosts_ = std::move(*hosts);
   GEKKO_RETURN_IF_ERROR(fabric->start_loops_());
   return fabric;
 }
 
-Result<std::filesystem::path> TcpFabric::write_hostfile(
-    const std::filesystem::path& dir, std::uint32_t n) {
+Result<std::unique_ptr<StreamFabric>> make_fabric(
+    const std::filesystem::path& hostfile, const MakeFabricOptions& options) {
+  return StreamFabric::create(hostfile, options);
+}
+
+Result<std::filesystem::path> StreamFabric::write_hostfile(
+    const std::filesystem::path& dir, std::uint32_t n, Transport transport) {
   GEKKO_RETURN_IF_ERROR(io::ensure_dir(dir));
+  std::string content;
+  if (transport == Transport::uds) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      content += std::to_string(i) + " " +
+                 (dir / ("gkfsd." + std::to_string(i) + ".sock")).string() +
+                 "\n";
+    }
+    const auto path = dir / "hosts.txt";
+    GEKKO_RETURN_IF_ERROR(io::write_file_atomic(path, content));
+    return path;
+  }
+  if (transport != Transport::tcp) {
+    return Status{Errc::invalid_argument, "write_hostfile needs uds or tcp"};
+  }
   // Probe n free ports by binding port 0; every probe socket stays
   // open until ALL ports are picked so the kernel cannot hand the same
   // port out twice.
   std::vector<int> probes;
-  std::string content;
   Status st = Status::ok();
   for (std::uint32_t i = 0; i < n && st.is_ok(); ++i) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -324,9 +388,9 @@ Result<std::filesystem::path> TcpFabric::write_hostfile(
   return path;
 }
 
-TcpFabric::~TcpFabric() { shutdown_(); }
+StreamFabric::~StreamFabric() { shutdown_(); }
 
-Status TcpFabric::start_loops_() {
+Status StreamFabric::start_loops_() {
   for (std::size_t i = 0; i < options_.event_loops; ++i) {
     auto loop = std::make_unique<EventLoop>(this);
     GEKKO_RETURN_IF_ERROR(loop->init());
@@ -335,24 +399,29 @@ Status TcpFabric::start_loops_() {
   return Status::ok();
 }
 
-TcpFabric::EventLoop* TcpFabric::pick_loop_() {
+StreamFabric::EventLoop* StreamFabric::pick_loop_() {
   const std::size_t i =
       next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
   return loops_[i].get();
 }
 
-std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
+std::pair<EndpointId, std::shared_ptr<Inbox>>
+StreamFabric::register_endpoint() {
   if (inbox_ != nullptr) {
-    GEKKO_ERROR("net.tcp") << "second endpoint on a tcp fabric";
+    // One endpoint per process; repeat registration is a programming
+    // error in this transport.
+    GEKKO_ERROR("net.stream") << "second endpoint on a stream fabric";
     return {kInvalidEndpoint, nullptr};
   }
   inbox_ = std::make_shared<Inbox>();
   if (options_.self_id != kInvalidEndpoint) {
     self_ = options_.self_id;
     if (Status st = start_listener_(); !st.is_ok()) {
-      GEKKO_ERROR("net.tcp") << "listener failed: " << st.to_string();
-      // Same rollback as SocketFabric: a retry must see the real error
-      // again, not the "second endpoint" guard.
+      GEKKO_ERROR("net.stream") << "listener failed: " << st.to_string();
+      // Roll the registration back entirely: a retry after the caller
+      // fixes the cause (missing socket dir, held port) must see the
+      // real error again, not the "second endpoint" guard tripping on
+      // the inbox this failed attempt left behind.
       inbox_.reset();
       self_ = kInvalidEndpoint;
       return {kInvalidEndpoint, nullptr};
@@ -363,12 +432,19 @@ std::pair<EndpointId, std::shared_ptr<Inbox>> TcpFabric::register_endpoint() {
   return {self_, inbox_};
 }
 
-Status TcpFabric::start_listener_() {
-  auto sa = resolve_ipv4(hosts_.at(self_));
+Status StreamFabric::start_listener_() {
+  const std::string& address = hosts_.at(self_);
+  auto sa = make_sockaddr(options_.transport, address);
   if (!sa) return sa.status();
+  // A daemon killed without shutdown leaves its socket file behind;
+  // bind() would fail on it with EADDRINUSE.
+  if (options_.transport == Transport::uds) (void)::unlink(address.c_str());
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  listen_fd_ =
+      ::socket(sa->family(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return Status{Errc::io_error, "socket()"};
+  // Failure must not leak the fd nor leave listen_fd_ pointing at a
+  // half-configured socket a later shutdown_() would close again.
   const auto fail = [this](Status st) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -377,12 +453,11 @@ Status TcpFabric::start_listener_() {
 
   const int one = 1;
   (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&*sa), sizeof(*sa)) !=
-      0) {
-    return fail(Status{Errc::io_error, "bind " + hosts_.at(self_) + ": " +
-                                           std::strerror(errno)});
+  if (::bind(listen_fd_, sa->get(), sa->len) != 0) {
+    return fail(Status{Errc::io_error,
+                       "bind " + address + ": " + std::strerror(errno)});
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return fail(Status{Errc::io_error, "listen()"});
   }
   // The listener lives in loop 0; there is no acceptor thread at all —
@@ -393,7 +468,7 @@ Status TcpFabric::start_listener_() {
   return Status::ok();
 }
 
-void TcpFabric::accept_ready_() {
+void StreamFabric::accept_ready_() {
   for (;;) {
     const int fd =
         ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -401,12 +476,12 @@ void TcpFabric::accept_ready_() {
       if (errno == EINTR) continue;
       return;  // EAGAIN (drained the backlog) or listener closed
     }
-    set_nodelay(fd);
+    if (options_.transport == Transport::tcp) set_nodelay(fd);
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
     conn->loop = pick_loop_();
-    // Publish and register atomically w.r.t. kill/shutdown (kTcpLoop
-    // ranks under kTcpConn for exactly this nesting).
+    // Publish and register atomically w.r.t. kill/shutdown (kStreamLoop
+    // ranks under kStreamConn for exactly this nesting).
     LockGuard lock(conn_mutex_);
     if (stopping_now_()) {
       ::shutdown(fd, SHUT_RDWR);
@@ -422,7 +497,7 @@ void TcpFabric::accept_ready_() {
   }
 }
 
-void TcpFabric::on_readable_(const std::shared_ptr<Conn>& conn) {
+void StreamFabric::on_readable_(const std::shared_ptr<Conn>& conn) {
   // rd / rd_pos are loop-thread-private (one loop owns each fd).
   bool eof = false;
   bool fatal = false;
@@ -450,7 +525,7 @@ void TcpFabric::on_readable_(const std::shared_ptr<Conn>& conn) {
   if (eof || fatal) kill_conn_(conn);
 }
 
-bool TcpFabric::drain_frames_(const std::shared_ptr<Conn>& conn) {
+bool StreamFabric::drain_frames_(const std::shared_ptr<Conn>& conn) {
   auto& rd = conn->rd;
   while (rd.size() - conn->rd_pos >= wire::kLenPrefixBytes) {
     std::uint32_t frame_len = 0;
@@ -486,16 +561,20 @@ bool TcpFabric::drain_frames_(const std::shared_ptr<Conn>& conn) {
   return true;
 }
 
-bool TcpFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
+bool StreamFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
                                wire::DecodedFrame decoded) {
   Message msg = std::move(decoded.msg);
   BulkRegion writable_bulk;
   if (decoded.bulk_mode == wire::kBulkWritableSize) writable_bulk = msg.bulk;
 
   if (decoded.bulk_mode == wire::kBulkResponseData) {
-    // Same contract as SocketFabric::deliver_frame_: apply under
-    // bulk_mutex_ (cancel() synchronizes on it), kill the connection
-    // on any out-of-range range, tolerate a missing entry (cancelled).
+    // Response carrying dirty ranges for one of OUR pending writable
+    // regions (fan-out reads have several responses filling disjoint
+    // parts of one region). Applied under bulk_mutex_, which cancel()
+    // also takes, so once a cancel returns no byte lands in the
+    // caller's buffer. A range outside the region is a corrupt or
+    // hostile peer: kill the connection. No pending entry (cancelled
+    // or timed out): the ranges are dropped.
     LockGuard lock(bulk_mutex_);
     auto it = pending_writable_.find(msg.seq);
     if (it != pending_writable_.end()) {
@@ -521,11 +600,10 @@ bool TcpFabric::deliver_frame_(const std::shared_ptr<Conn>& conn,
   return inbox_ && inbox_->push(std::move(msg));
 }
 
-Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
+Status StreamFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
   if (conn.dead.load(std::memory_order_acquire)) {
     return Status{Errc::disconnected, "connection dead"};
   }
-  bool queued_behind = false;
   {
     LockGuard lock(conn.out_mutex);
     if (conn.out.empty() && !conn.epollout_armed) {
@@ -539,6 +617,7 @@ Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
           m_.writev_segments->inc(frame.segment_count());
           break;
         case WriteRc::again:
+          m_.writev_segments->inc(frame.segment_count());
           // Socket buffer full mid-frame: park the unsent tail on the
           // queue and let the event loop finish it.
           for (std::size_t j = idx; j < iov.size(); ++j) {
@@ -560,20 +639,18 @@ Status TcpFabric::send_frame_(Conn& conn, const wire::EncodedFrame& frame) {
       // this queue-append IS the write coalescing.
       frame.flatten_into(&conn.out);
       ++conn.out_frames;
-      queued_behind = true;
       if (!conn.epollout_armed) {
         conn.epollout_armed = true;
         conn.loop->arm_write(conn.fd, true);
       }
     }
   }
-  (void)queued_behind;
   m_.frames_out->inc();
   m_.bytes_out->inc(frame.wire_bytes());
   return Status::ok();
 }
 
-void TcpFabric::on_writable_(const std::shared_ptr<Conn>& conn) {
+void StreamFabric::on_writable_(const std::shared_ptr<Conn>& conn) {
   bool broken = false;
   {
     LockGuard lock(conn->out_mutex);
@@ -602,7 +679,7 @@ void TcpFabric::on_writable_(const std::shared_ptr<Conn>& conn) {
   if (broken) kill_conn_(conn);
 }
 
-Result<std::shared_ptr<TcpFabric::Conn>> TcpFabric::connect_to_(
+Result<std::shared_ptr<StreamFabric::Conn>> StreamFabric::connect_to_(
     EndpointId dest) {
   {
     LockGuard lock(conn_mutex_);
@@ -616,21 +693,21 @@ Result<std::shared_ptr<TcpFabric::Conn>> TcpFabric::connect_to_(
   if (host == hosts_.end()) {
     return Status{Errc::disconnected, "unknown endpoint id"};
   }
-  auto sa = resolve_ipv4(host->second);
+  auto sa = make_sockaddr(options_.transport, host->second);
   if (!sa) return sa.status();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd = ::socket(sa->family(), SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status{Errc::io_error, "socket()"};
   // Blocking connect (the dialer wants the result synchronously), then
   // nonblocking for the event loop.
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&*sa), sizeof(*sa)) != 0) {
+  if (::connect(fd, sa->get(), sa->len) != 0) {
     ::close(fd);
     return Status{Errc::disconnected,
                   "connect " + host->second + ": " + std::strerror(errno)};
   }
   const int flags = ::fcntl(fd, F_GETFL, 0);
   (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  set_nodelay(fd);
+  if (options_.transport == Transport::tcp) set_nodelay(fd);
   m_.dials->inc();
   flight::record(flight::Subsys::fabric, flight::ev::fabric_connect, dest);
 
@@ -657,7 +734,7 @@ Result<std::shared_ptr<TcpFabric::Conn>> TcpFabric::connect_to_(
   return conn;
 }
 
-void TcpFabric::kill_conn_(const std::shared_ptr<Conn>& conn) {
+void StreamFabric::kill_conn_(const std::shared_ptr<Conn>& conn) {
   const bool already = conn->dead.exchange(true, std::memory_order_acq_rel);
   ::shutdown(conn->fd, SHUT_RDWR);
   if (stopping_now_()) return;  // shutdown_() owns all cleanup
@@ -670,7 +747,7 @@ void TcpFabric::kill_conn_(const std::shared_ptr<Conn>& conn) {
   evict_(conn);
 }
 
-void TcpFabric::evict_(const std::shared_ptr<Conn>& conn) {
+void StreamFabric::evict_(const std::shared_ptr<Conn>& conn) {
   {
     LockGuard lock(conn_mutex_);
     if (conn->peer != kInvalidEndpoint) {
@@ -691,7 +768,7 @@ void TcpFabric::evict_(const std::shared_ptr<Conn>& conn) {
   }
 }
 
-void TcpFabric::kill_connection_(EndpointId dest, const Message& msg) {
+void StreamFabric::kill_connection_(EndpointId dest, const Message& msg) {
   flight::record(flight::Subsys::fabric, flight::ev::fabric_kill, dest,
                  static_cast<std::uint32_t>(msg.seq));
   std::shared_ptr<Conn> victim;
@@ -707,12 +784,12 @@ void TcpFabric::kill_connection_(EndpointId dest, const Message& msg) {
   if (victim) kill_conn_(victim);
 }
 
-void TcpFabric::cancel(std::uint64_t seq) {
+void StreamFabric::cancel(std::uint64_t seq) {
   LockGuard lock(bulk_mutex_);
   pending_writable_.erase(seq);
 }
 
-Status TcpFabric::send(EndpointId dest, Message msg) {
+Status StreamFabric::send(EndpointId dest, Message msg) {
   {
     LockGuard lock(stats_mutex_);
     ++stats_.messages_sent;
@@ -753,7 +830,9 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
     return st;
   }
 
-  // Request path with one transparent redial, like SocketFabric.
+  // Request path. A cached connection may have died since the last
+  // send (daemon restart): if the write fails, evict the link and
+  // redial once, transparently.
   auto frame = wire::encode_frame(msg, nullptr, self_, options_.max_frame_bytes);
   if (!frame) return frame.status();
   Status last = Status::ok();
@@ -780,12 +859,12 @@ Status TcpFabric::send(EndpointId dest, Message msg) {
   return last;
 }
 
-void TcpFabric::deregister(EndpointId id) {
+void StreamFabric::deregister(EndpointId id) {
   (void)id;
   shutdown_();
 }
 
-void TcpFabric::shutdown_() {
+void StreamFabric::shutdown_() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) {
     return;
@@ -793,7 +872,8 @@ void TcpFabric::shutdown_() {
   // Stop the loops FIRST: after the joins nothing dispatches, so the
   // rest of teardown owns every connection exclusively.
   for (auto& loop : loops_) loop->stop();
-  if (listen_fd_ >= 0) {
+  const bool listening = listen_fd_ >= 0;
+  if (listening) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -818,9 +898,12 @@ void TcpFabric::shutdown_() {
     pending_writable_.clear();
   }
   if (inbox_) inbox_->close();
+  if (listening && options_.transport == Transport::uds) {
+    (void)::unlink(hosts_.at(self_).c_str());
+  }
 }
 
-Status TcpFabric::bulk_pull(const BulkRegion& region, std::size_t offset,
+Status StreamFabric::bulk_pull(const BulkRegion& region, std::size_t offset,
                             std::span<std::uint8_t> out) {
   if (!region.valid()) return Status{Errc::invalid_argument, "invalid bulk"};
   if (!wire::range_in_bounds(offset, out.size(), region.size())) {
@@ -832,7 +915,7 @@ Status TcpFabric::bulk_pull(const BulkRegion& region, std::size_t offset,
   return Status::ok();
 }
 
-Status TcpFabric::bulk_push(const BulkRegion& region, std::size_t offset,
+Status StreamFabric::bulk_push(const BulkRegion& region, std::size_t offset,
                             std::span<const std::uint8_t> data) {
   if (!region.valid() || !region.writable()) {
     return Status{Errc::invalid_argument, "bulk region not writable"};
@@ -847,7 +930,7 @@ Status TcpFabric::bulk_push(const BulkRegion& region, std::size_t offset,
   return Status::ok();
 }
 
-TrafficStats TcpFabric::stats() const {
+TrafficStats StreamFabric::stats() const {
   LockGuard lock(stats_mutex_);
   return stats_;
 }

@@ -2,11 +2,6 @@
 
 #include <charconv>
 
-#include "common/fileio.h"
-#include "net/address.h"
-#include "net/socket_fabric.h"
-#include "net/tcp_fabric.h"
-
 namespace gekko::net {
 
 Result<Transport> parse_transport(std::string_view name) {
@@ -78,58 +73,24 @@ Result<std::map<EndpointId, std::string>> parse_hostfile(
   return hosts;
 }
 
-Result<std::unique_ptr<HostedFabric>> make_fabric(
-    const std::filesystem::path& hostfile, const MakeFabricOptions& options) {
-  auto content = io::read_file(hostfile);
-  if (!content) return content.status();
-  auto hosts = parse_hostfile(*content);
-  if (!hosts) return hosts.status();
-
-  Transport transport = options.transport;
-  if (transport == Transport::autodetect) {
-    // TCP only when EVERY address reads as host:port; a mixed hostfile
-    // lands on UDS and fails loudly at the first socket-path connect.
-    transport = Transport::tcp;
-    for (const auto& [id, address] : *hosts) {
-      if (!looks_like_tcp_address(address)) {
-        transport = Transport::uds;
-        break;
-      }
-    }
-  } else {
-    // An explicit transport that contradicts the hostfile is a
-    // misconfiguration; fail it here with the offending address rather
-    // than at connect time with a confusing resolve/ENOENT error.
-    for (const auto& [id, address] : *hosts) {
-      const bool is_tcp = looks_like_tcp_address(address);
-      if (transport == Transport::tcp && !is_tcp) {
-        return Status{Errc::invalid_argument,
-                      "hostfile address is not host:port: " + address};
-      }
-      if (transport == Transport::uds && is_tcp) {
-        return Status{Errc::invalid_argument,
-                      "hostfile address is not a socket path: " + address};
-      }
+Result<Transport> hostfile_transport(
+    const std::map<EndpointId, std::string>& hosts, Transport requested) {
+  if (hosts.empty()) return Status{Errc::invalid_argument, "empty hostfile"};
+  const bool tcp = looks_like_tcp_address(hosts.begin()->second);
+  // One family per hostfile: a stray line of the other family would
+  // otherwise fail only at its first dial, with a confusing error.
+  for (const auto& [id, address] : hosts) {
+    if (looks_like_tcp_address(address) != tcp) {
+      return Status{Errc::invalid_argument,
+                    "hostfile mixes socket paths and host:port: " + address};
     }
   }
-
-  if (transport == Transport::tcp) {
-    TcpFabricOptions topt;
-    topt.self_id = options.self_id;
-    topt.max_frame_bytes = options.max_frame_bytes;
-    if (options.tcp_event_loops != 0) {
-      topt.event_loops = options.tcp_event_loops;
-    }
-    auto fabric = TcpFabric::create(hostfile, topt);
-    if (!fabric) return fabric.status();
-    return std::unique_ptr<HostedFabric>(std::move(*fabric));
-  }
-  SocketFabricOptions sopt;
-  sopt.self_id = options.self_id;
-  sopt.max_frame_bytes = options.max_frame_bytes;
-  auto fabric = SocketFabric::create(hostfile, sopt);
-  if (!fabric) return fabric.status();
-  return std::unique_ptr<HostedFabric>(std::move(*fabric));
+  const Transport family = tcp ? Transport::tcp : Transport::uds;
+  if (requested == Transport::autodetect || requested == family) return family;
+  const std::string& address = hosts.begin()->second;
+  return Status{Errc::invalid_argument,
+                tcp ? "hostfile address is not a socket path: " + address
+                    : "hostfile address is not host:port: " + address};
 }
 
 }  // namespace gekko::net

@@ -6,38 +6,27 @@
 // of one hostfile must use the same address family — daemons and
 // clients sharing a hostfile must land on the same transport.
 //
-// make_fabric() sniffs the hostfile (or honors an explicit Transport)
-// and constructs the matching fabric. Everything above the transport —
-// the rpc::Engine, redial/eviction/FaultInjector machinery, trace-id
-// propagation — is keyed off net::Fabric and works unchanged on both.
+// make_fabric() (stream_fabric.h) sniffs the hostfile (or checks an
+// explicit Transport against it) and constructs the one stream fabric
+// for that family. Everything above the transport — the rpc::Engine,
+// redial/eviction/FaultInjector machinery, trace-id propagation — is
+// keyed off net::Fabric and works unchanged on both.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/result.h"
-#include "net/fabric.h"
+#include "net/address.h"
 
 namespace gekko::net {
 
-/// A Fabric whose peers come from a hostfile: daemon ids are dense
-/// [0, n) and enumerable without a directory service. SocketFabric
-/// (UDS) and TcpFabric both implement this.
-class HostedFabric : public Fabric {
- public:
-  /// Endpoint ids of all daemons listed in the hostfile, ascending.
-  [[nodiscard]] virtual std::vector<EndpointId> daemon_ids() const = 0;
-};
-
 enum class Transport {
   autodetect,  // sniff from the hostfile's address syntax
-  uds,         // Unix-domain sockets (SocketFabric)
-  tcp,         // TCP with an epoll event loop (TcpFabric)
+  uds,         // Unix-domain socket paths
+  tcp,         // TCP "host:port" addresses
 };
 
 /// "auto" | "uds" | "tcp" (what gkfsd's --transport flag accepts).
@@ -54,23 +43,29 @@ Result<Transport> parse_transport(std::string_view name);
 Result<std::map<EndpointId, std::string>> parse_hostfile(
     const std::string& content);
 
+/// The address family of parsed hostfile entries: tcp when the first
+/// address reads as host:port, uds otherwise. Fails with
+/// invalid_argument, naming the address, when an entry belongs to the
+/// other family or when `requested` (unless autodetect) contradicts
+/// the hostfile.
+Result<Transport> hostfile_transport(
+    const std::map<EndpointId, std::string>& hosts, Transport requested);
+
 struct MakeFabricOptions {
   /// Daemon role: serve on the hostfile entry for `self_id`.
   /// Client role (kInvalidEndpoint): connect-only.
   EndpointId self_id = kInvalidEndpoint;
-  /// See SocketFabricOptions::max_frame_bytes.
+  /// Upper bound for one wire frame, enforced on BOTH sides: the
+  /// sender fails oversized frames with Errc::overflow before any
+  /// bytes hit the wire (instead of silently killing the peer's
+  /// connection), and the receiver drops connections that announce a
+  /// larger frame. All processes sharing a hostfile must agree.
   std::uint32_t max_frame_bytes = 1u << 30;
   Transport transport = Transport::autodetect;
-  /// TCP only: epoll event-loop threads (0 = default).
-  std::size_t tcp_event_loops = 0;
+  /// Epoll event-loop threads multiplexing all connections (0 = 2).
+  /// Two suffice for a node: a loop completes responses and queues
+  /// requests on the engine's handler pool, where the RPC work runs.
+  std::size_t event_loops = 0;
 };
-
-/// Read + parse the hostfile and construct the matching fabric.
-/// Transport::autodetect picks TCP when every address looks like
-/// "host:port", UDS otherwise; an explicit transport that contradicts
-/// the hostfile's addresses fails here with invalid_argument naming
-/// the offending address.
-Result<std::unique_ptr<HostedFabric>> make_fabric(
-    const std::filesystem::path& hostfile, const MakeFabricOptions& options);
 
 }  // namespace gekko::net

@@ -52,7 +52,7 @@
 #include "cluster/cluster.h"
 #include "common/thread_annotations.h"
 #include "fs/mount.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 
 namespace {
 
@@ -94,7 +94,7 @@ using openat_fn = int (*)(int, const char*, int, ...);
 struct ShimState {
   std::string mount_prefix;  // e.g. "/gkfs"
   std::unique_ptr<gekko::cluster::Cluster> cluster;        // embedded mode
-  std::unique_ptr<gekko::net::HostedFabric> socket_fabric;  // attached mode
+  std::unique_ptr<gekko::net::StreamFabric> socket_fabric;  // attached mode
   std::unique_ptr<gekko::fs::Mount> mount;
   bool enabled = false;
   // dup2(gkfs_fd, n) aliases a LOW (kernel-range) fd to a GekkoFS fd —

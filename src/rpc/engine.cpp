@@ -33,7 +33,8 @@ Engine::Engine(net::Fabric& fabric, EngineOptions options)
       agg_sent_(&registry_->counter("rpc.requests_sent")),
       agg_handled_(&registry_->counter("rpc.requests_handled")),
       agg_retries_(&registry_->counter("rpc.retries")),
-      agg_timeouts_(&registry_->counter("rpc.timeouts")) {
+      agg_timeouts_(&registry_->counter("rpc.timeouts")),
+      agg_refused_(&registry_->counter("rpc.requests_refused")) {
   auto [id, inbox] = fabric_.register_endpoint();
   self_ = id;
   inbox_ = std::move(inbox);
@@ -332,8 +333,14 @@ void Engine::dispatch_request_(net::Message msg) {
     }
   }
   if (!handler) {
-    GEKKO_WARN("rpc") << options_.name << ": no handler for rpc id "
-                      << msg.rpc_id;
+    // Counted, and logged once per engine: a peer sending unknown ids
+    // must not turn the delivering event loop into a log writer.
+    agg_refused_->inc();
+    if (!refusal_logged_.exchange(true, std::memory_order_relaxed)) {
+      GEKKO_WARN("rpc") << options_.name << ": no handler for rpc id "
+                        << msg.rpc_id << " (further refusals only counted "
+                        << "in rpc.requests_refused)";
+    }
     // Answered inline: on loopback this delivers into the caller's
     // engine from here, one level deep.
     respond_(msg, frame_error(Errc::not_supported));

@@ -12,7 +12,7 @@
 //  - implements blocking forward() with sequence-matched responses and
 //    timeouts (margo_forward + margo_wait).
 //
-// Delivery runs on fabric threads (a TCP event loop, a UDS reader, a
+// Delivery runs on fabric threads (a stream fabric event loop, a
 // loopback sender), so it never blocks: it takes the rpc.engine.*
 // locks, the pool's queue and the caller's eventual, nothing else.
 //
@@ -21,9 +21,10 @@
 // delivered to the caller as the first byte of the response.
 #pragma once
 
-// relaxed-ok: sequence/handled/retry counters and the caller-metrics
-// slot pointers are independent scalars; slot fill is protected by
-// metrics_mutex_ and the pointed-to metrics are themselves atomic.
+// relaxed-ok: sequence/handled/retry counters, the once-only refusal
+// log flag and the caller-metrics slot pointers are independent
+// scalars; slot fill is protected by metrics_mutex_ and the pointed-to
+// metrics are themselves atomic.
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -281,6 +282,8 @@ class Engine {
   std::atomic<std::uint64_t> handled_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<bool> stopped_{false};
+  metrics::Counter* agg_refused_;  // requests for unregistered rpc ids
+  std::atomic<bool> refusal_logged_{false};
 };
 
 /// Response payload framing: [status u8][body...]. Helpers shared by

@@ -1,8 +1,9 @@
-// Engine teardown under load, shared by the loopback (net_rpc_test) and
-// TCP (tcp_fabric_test) suites. Four threads keep forwarding to a
-// serving engine while the test shuts it down. Fabrics deliver on their
-// own threads straight into the engine, so shutdown() must wait out the
-// deliveries that are running and refuse new ones.
+// Engine teardown under load, shared by the loopback (net_rpc_test),
+// UDS (uds_fabric_test) and TCP (tcp_fabric_test) suites. Four threads
+// keep forwarding to a serving engine while the test shuts it down.
+// Fabrics deliver on their own threads straight into the engine, so
+// shutdown() must wait out the deliveries that are running and refuse
+// new ones.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
 #include "net/fabric.h"
 #include "rpc/engine.h"
 
@@ -31,8 +31,6 @@ inline void shutdown_under_load(net::Fabric& server_fabric,
   constexpr std::uint16_t kBump = 1;
   constexpr std::uint16_t kUnknown = 2;
   constexpr int kThreads = 4;
-  const log::Level saved_level = log::level();
-  log::set_level(log::Level::error);  // each refusal logs a warning
 
   auto server = std::make_unique<rpc::Engine>(
       server_fabric, rpc::EngineOptions{.name = "teardown-server"});
@@ -107,7 +105,6 @@ inline void shutdown_under_load(net::Fabric& server_fabric,
 
   server_fabric.set_fault_injector(nullptr);
   server.reset();
-  log::set_level(saved_level);
 }
 
 }  // namespace gekko::test

@@ -51,8 +51,12 @@ class FailureTest : public ::testing::Test {
 
 TEST_F(FailureTest, BlackholedDaemonTimesOutOthersKeepWorking) {
   const std::uint32_t victim = owner_of("/on-victim");
-  cluster_->fabric().set_fault_plan(net::FaultPlan{
-      .blackhole = cluster_->daemon_endpoints()[victim]});
+  const net::EndpointId victim_ep = cluster_->daemon_endpoints()[victim];
+  cluster_->fabric().set_fault_injector(
+      std::make_shared<net::CallbackFaultInjector>(
+          [victim_ep](net::EndpointId dest, const net::Message&) {
+            return net::FaultAction{.drop = dest == victim_ep};
+          }));
 
   auto fd = mnt_->open("/on-victim", fs::create | fs::wr_only);
   EXPECT_EQ(fd.code(), Errc::timed_out);
@@ -67,7 +71,7 @@ TEST_F(FailureTest, BlackholedDaemonTimesOutOthersKeepWorking) {
   EXPECT_TRUE(ok_fd.is_ok()) << ok_fd.status().to_string();
 
   // Network heals: the victim becomes reachable again.
-  cluster_->fabric().set_fault_plan(net::FaultPlan{});
+  cluster_->fabric().set_fault_injector(nullptr);
   auto healed = mnt_->open("/on-victim", fs::create | fs::wr_only);
   EXPECT_TRUE(healed.is_ok());
 }
@@ -146,7 +150,14 @@ TEST_F(FailureTest, MissingChunkFilesReadAsZeroes) {
 }
 
 TEST_F(FailureTest, LossyNetworkOnlyCausesTimeoutsNotCorruption) {
-  cluster_->fabric().set_fault_plan(net::FaultPlan{.drop_one_in = 13});
+  // Drop one send in 13, requests and responses alike.
+  auto sends = std::make_shared<std::atomic<std::uint64_t>>(0);
+  cluster_->fabric().set_fault_injector(
+      std::make_shared<net::CallbackFaultInjector>(
+          [sends](net::EndpointId, const net::Message&) {
+            const std::uint64_t n = sends->fetch_add(1) + 1;
+            return net::FaultAction{.drop = n % 13 == 0};
+          }));
   int successes = 0;
   int timeouts = 0;
   for (int i = 0; i < 60; ++i) {
@@ -164,7 +175,7 @@ TEST_F(FailureTest, LossyNetworkOnlyCausesTimeoutsNotCorruption) {
   EXPECT_GT(successes, 0);
   EXPECT_GT(timeouts, 0);
 
-  cluster_->fabric().set_fault_plan(net::FaultPlan{});
+  cluster_->fabric().set_fault_injector(nullptr);
   // Every file that reported success must be intact.
   for (int i = 0; i < 60; ++i) {
     const std::string p = "/lossy" + std::to_string(i);

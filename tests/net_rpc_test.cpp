@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "common/lockdep.h"
+#include "common/logging.h"
 #include "delivery_teardown.h"
 #include "net/fabric.h"
 #include "rpc/engine.h"
@@ -25,6 +26,14 @@ const bool kLockdepOn = [] {
   gekko::lockdep::set_enabled(true);
   return true;
 }();
+
+// Drops every message towards `victim` (a crashed daemon).
+std::shared_ptr<net::FaultInjector> blackhole(net::EndpointId victim) {
+  return std::make_shared<net::CallbackFaultInjector>(
+      [victim](net::EndpointId dest, const net::Message&) {
+        return net::FaultAction{.drop = dest == victim};
+      });
+}
 
 // ---------- fabric ----------
 
@@ -86,7 +95,7 @@ TEST(FabricTest, BlackholeDropsSilently) {
   (void)a;
   (void)inbox_a;
   auto [b, inbox_b] = fabric.register_endpoint();
-  fabric.set_fault_plan(net::FaultPlan{.blackhole = b});
+  fabric.set_fault_injector(blackhole(b));
   EXPECT_TRUE(fabric.send(b, net::Message{}).is_ok());  // silent loss
   EXPECT_FALSE(inbox_b->try_receive().has_value());
   EXPECT_EQ(fabric.stats().messages_dropped, 1u);
@@ -96,7 +105,12 @@ TEST(FabricTest, ProbabilisticDrop) {
   net::LoopbackFabric fabric;
   auto [a, inbox] = fabric.register_endpoint();
   (void)a;
-  fabric.set_fault_plan(net::FaultPlan{.drop_one_in = 4});
+  // Drop one send in four.
+  auto sends = std::make_shared<std::uint64_t>(0);
+  fabric.set_fault_injector(std::make_shared<net::CallbackFaultInjector>(
+      [sends](net::EndpointId, const net::Message&) {
+        return net::FaultAction{.drop = ++*sends % 4 == 0};
+      }));
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(fabric.send(0, net::Message{}).is_ok());
   }
@@ -233,14 +247,52 @@ TEST_F(RpcTest, TimeoutOnBlackholedDaemon) {
   copts.rpc_timeout = std::chrono::milliseconds(50);
   rpc::Engine client(fabric_, copts);
 
-  fabric_.set_fault_plan(net::FaultPlan{.blackhole = server.endpoint()});
+  fabric_.set_fault_injector(blackhole(server.endpoint()));
   auto resp = client.forward(server.endpoint(), 1, {1});
   EXPECT_EQ(resp.code(), Errc::timed_out);
 
   // Network heals; the same engine keeps working.
-  fabric_.set_fault_plan(net::FaultPlan{});
+  fabric_.set_fault_injector(nullptr);
   resp = client.forward(server.endpoint(), 1, {1});
   EXPECT_TRUE(resp.is_ok());
+}
+
+// A request for an unregistered rpc id is answered not_supported on
+// the delivering thread. Every refusal is counted; only the engine's
+// first one is logged, so a peer sending unknown ids cannot flood the
+// log from a fabric thread.
+TEST_F(RpcTest, RefusedRequestsAreCountedAndLoggedOnce) {
+  metrics::Registry registry;
+  rpc::EngineOptions sopts;
+  sopts.name = "refusing-server";
+  sopts.registry = &registry;
+  rpc::Engine server(fabric_, sopts);
+  rpc::Engine client(fabric_, {.name = "client"});
+  auto& refused = registry.counter("rpc.requests_refused");
+  const std::uint64_t before = refused.value();
+
+  std::atomic<int> warnings{0};
+  const log::Level saved_level = log::level();
+  log::set_level(log::Level::warn);
+  log::set_sink([&warnings](log::Level lvl, std::string_view line) {
+    if (lvl == log::Level::warn &&
+        line.find("refusing-server") != std::string_view::npos) {
+      warnings.fetch_add(1);
+    }
+  });
+  int not_supported = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (client.forward(server.endpoint(), 99, {}).code() ==
+        Errc::not_supported) {
+      ++not_supported;
+    }
+  }
+  log::set_sink(nullptr);
+  log::set_level(saved_level);
+
+  EXPECT_EQ(not_supported, 1000);
+  EXPECT_EQ(refused.value() - before, 1000u);
+  EXPECT_EQ(warnings.load(), 1);
 }
 
 TEST_F(RpcTest, ForwardToDeadEngineFails) {

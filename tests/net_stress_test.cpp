@@ -24,8 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/socket_fabric.h"
-#include "net/tcp_fabric.h"
+#include "net/stream_fabric.h"
 #include "net/transport.h"
 
 namespace gekko {
@@ -76,9 +75,7 @@ void run_shutdown_stress(net::Transport transport) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  auto hostfile = transport == net::Transport::tcp
-                      ? net::TcpFabric::write_hostfile(dir, 1)
-                      : net::SocketFabric::write_hostfile(dir, 1);
+  auto hostfile = net::StreamFabric::write_hostfile(dir, 1, transport);
   ASSERT_TRUE(hostfile.is_ok()) << hostfile.status().to_string();
   const std::string addr = hostfile_address(*hostfile);
   ASSERT_FALSE(addr.empty());

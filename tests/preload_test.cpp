@@ -3,15 +3,31 @@
 // LD_PRELOAD shim — the paper's deployment model, demonstrated with
 // the paper's own words: "without modifying an application".
 //
-// Each command runs in a separate process via system(); state persists
-// between processes through GKFS_ROOT (WAL/SST/chunk files).
+// Each command runs in a separate process via system(). In embedded
+// mode state persists between processes through GKFS_ROOT (WAL/SST/
+// chunk files); in attached mode (GKFS_HOSTFILE) the shim talks to
+// running gkfsd processes over Unix-domain sockets or TCP.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "common/fileio.h"
+#include "net/stream_fabric.h"
 
 namespace {
 
@@ -30,6 +46,33 @@ namespace {
     return line.substr(start + 1);
   }
   return {};
+}
+
+/// True once a hostfile address of either family accepts a connection.
+bool accepts(const std::string& address) {
+  sockaddr_storage ss{};
+  socklen_t len = 0;
+  if (gekko::net::looks_like_tcp_address(address)) {
+    auto* in = reinterpret_cast<sockaddr_in*>(&ss);
+    const auto colon = address.rfind(':');
+    std::uint16_t port = 0;
+    std::from_chars(address.data() + colon + 1,
+                    address.data() + address.size(), port);
+    in->sin_family = AF_INET;
+    in->sin_port = htons(port);
+    ::inet_pton(AF_INET, address.substr(0, colon).c_str(), &in->sin_addr);
+    len = sizeof(sockaddr_in);
+  } else {
+    auto* un = reinterpret_cast<sockaddr_un*>(&ss);
+    un->sun_family = AF_UNIX;
+    std::strncpy(un->sun_path, address.c_str(), sizeof(un->sun_path) - 1);
+    len = sizeof(sockaddr_un);
+  }
+  const int fd = ::socket(ss.ss_family, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  const bool ok = ::connect(fd, reinterpret_cast<sockaddr*>(&ss), len) == 0;
+  ::close(fd);
+  return ok;
 }
 
 class PreloadTest : public ::testing::Test {
@@ -52,8 +95,55 @@ class PreloadTest : public ::testing::Test {
     std::filesystem::create_directories(scratch_);
   }
   void TearDown() override {
+    for (const pid_t pid : daemons_) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
     std::filesystem::remove_all(root_);
     std::filesystem::remove_all(scratch_);
+  }
+
+  /// Attached mode: start two gkfsd processes on a `transport` hostfile
+  /// under root_, wait until both accept connections, and point every
+  /// later run() at them through GKFS_HOSTFILE.
+  void start_daemons(gekko::net::Transport transport) {
+    auto hostfile =
+        gekko::net::StreamFabric::write_hostfile(root_ / "net", 2, transport);
+    ASSERT_TRUE(hostfile.is_ok()) << hostfile.status().to_string();
+    auto content = gekko::io::read_file(*hostfile);
+    ASSERT_TRUE(content.is_ok());
+    auto hosts = gekko::net::parse_hostfile(*content);
+    ASSERT_TRUE(hosts.is_ok());
+    for (const auto& [id, address] : *hosts) {
+      const std::string id_str = std::to_string(id);
+      const std::string data = (root_ / ("node" + id_str)).string();
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        ::execl(GKFSD_BIN, "gkfsd", hostfile->c_str(), id_str.c_str(),
+                data.c_str(), static_cast<char*>(nullptr));
+        ::_exit(12);  // exec failed
+      }
+      daemons_.push_back(pid);
+      bool up = false;
+      for (int i = 0; i < 250 && !up; ++i) {
+        up = accepts(address);
+        if (!up) ::usleep(20 * 1000);
+      }
+      ASSERT_TRUE(up) << "gkfsd " << id << " never listened on " << address;
+    }
+    attach_env_ = " GKFS_HOSTFILE=" + hostfile->string();
+  }
+
+  /// cp a file in through the shim, cat it back, compare.
+  void expect_cp_cat_round_trip() {
+    const auto src = scratch_ / "src.txt";
+    std::ofstream(src) << std::string(20000, 'a') << "attached payload\n";
+    EXPECT_EQ(run("cp " + src.string() + " /gkfs/attached.txt"), 0);
+    EXPECT_EQ(
+        run("cat /gkfs/attached.txt > " + (scratch_ / "out.txt").string()),
+        0);
+    EXPECT_EQ(slurp(scratch_ / "out.txt"), slurp(src));
   }
 
   /// Run `cmd` under the shim; returns the process exit code.
@@ -76,7 +166,7 @@ class PreloadTest : public ::testing::Test {
     const std::string full = "LD_PRELOAD=" + preload + " GEKKO_LOCKDEP=1" +
                              san_env +
                              " GKFS_MOUNT=/gkfs GKFS_ROOT=" + root_.string() +
-                             " " + cmd;
+                             attach_env_ + " " + cmd;
     const int rc = std::system(full.c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
@@ -89,6 +179,8 @@ class PreloadTest : public ::testing::Test {
   std::string lib_;
   std::filesystem::path root_;
   std::filesystem::path scratch_;
+  std::string attach_env_;      // " GKFS_HOSTFILE=..." in attached mode
+  std::vector<pid_t> daemons_;  // attached mode's gkfsd processes
 };
 
 TEST_F(PreloadTest, CpIntoGekkofsAndCatBack) {
@@ -147,6 +239,16 @@ TEST_F(PreloadTest, TouchCreatesAndRenameIsRefused) {
   EXPECT_EQ(run("stat /gkfs/created > /dev/null"), 0);
   // rename/mv inside GekkoFS is unsupported by design (paper §III.A).
   EXPECT_NE(run("mv /gkfs/created /gkfs/renamed 2>/dev/null"), 0);
+}
+
+TEST_F(PreloadTest, AttachedModeOverUds) {
+  start_daemons(gekko::net::Transport::uds);
+  expect_cp_cat_round_trip();
+}
+
+TEST_F(PreloadTest, AttachedModeOverTcp) {
+  start_daemons(gekko::net::Transport::tcp);
+  expect_cp_cat_round_trip();
 }
 
 TEST_F(PreloadTest, NonGekkofsPathsPassThroughUntouched) {

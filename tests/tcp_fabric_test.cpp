@@ -1,9 +1,11 @@
-// TCP-fabric tests: transport selection (parse_transport /
-// looks_like_tcp_address / make_fabric autodetect), RPC round trips
-// and inline-bulk both directions over real TCP sockets with the epoll
-// event loop, daemon restart recovery WITHOUT fork (everything stays
-// in-process, so this suite can run under TSan), and a many-client
-// fan-in that exercises connection multiplexing across the loop pool.
+// Stream-fabric tests over TCP: transport selection (parse_transport /
+// looks_like_tcp_address / make_fabric autodetect, one family per
+// hostfile), RPC round trips and inline-bulk both directions over real
+// TCP sockets with the epoll event loop, daemon restart recovery
+// WITHOUT fork (everything stays in-process, so this suite can run
+// under TSan), a many-client fan-in that exercises connection
+// multiplexing across the loop pool, and the shared hostile-peer suite
+// (hostile_peer.h).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -19,12 +21,20 @@
 #include "common/metrics.h"
 #include "daemon/daemon.h"
 #include "fs/mount.h"
-#include "net/tcp_fabric.h"
+#include "net/stream_fabric.h"
 #include "net/transport.h"
 #include "rpc/engine.h"
 #include "delivery_teardown.h"
+#include "hostile_peer.h"
 
 namespace gekko {
+namespace test {
+
+INSTANTIATE_TEST_SUITE_P(Tcp, MalformedFrameTest,
+                         ::testing::Values(net::Transport::tcp));
+
+}  // namespace test
+
 namespace {
 
 class TcpFabricTest : public ::testing::Test {
@@ -61,23 +71,24 @@ TEST(TransportSelection, TcpAddressSniffing) {
 }
 
 TEST_F(TcpFabricTest, HostfileRoundTripAndValidation) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 3);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 3, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok()) << hostfile.status().to_string();
-  auto fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 1});
+  auto fabric = net::StreamFabric::create(*hostfile, {.self_id = 1});
   ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
   EXPECT_EQ((*fabric)->daemon_ids(), (std::vector<net::EndpointId>{0, 1, 2}));
 
-  EXPECT_EQ(net::TcpFabric::create(dir_ / "absent", {}).code(),
+  EXPECT_EQ(net::StreamFabric::create(dir_ / "absent", {}).code(),
             Errc::not_found);
-  EXPECT_EQ(net::TcpFabric::create(*hostfile,
-                                   net::TcpFabricOptions{.self_id = 99})
+  EXPECT_EQ(net::StreamFabric::create(*hostfile,
+                                   {.self_id = 99})
                 .code(),
             Errc::invalid_argument);
 }
 
 TEST_F(TcpFabricTest, MakeFabricAutodetectsTransport) {
-  auto tcp_hosts = net::TcpFabric::write_hostfile(dir_, 1);
+  auto tcp_hosts =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(tcp_hosts.is_ok());
   // TCP hostfile + autodetect: the daemon must actually bind its port.
   auto server = net::make_fabric(*tcp_hosts, {.self_id = 0});
@@ -95,31 +106,63 @@ TEST_F(TcpFabricTest, MakeFabricAutodetectsTransport) {
   ASSERT_TRUE(resp.is_ok()) << resp.status().to_string();
   EXPECT_EQ(*resp, (std::vector<std::uint8_t>{9, 9}));
 
-  // A UDS hostfile through the same entry point lands on SocketFabric.
+  // A UDS hostfile through the same entry point binds a socket path.
   const auto uds_hosts = dir_ / "uds_hosts.txt";
   ASSERT_TRUE(io::write_file_atomic(
                   uds_hosts, "0 " + (dir_ / "d0.sock").string() + "\n")
                   .is_ok());
   auto uds = net::make_fabric(uds_hosts, {.self_id = 0});
   ASSERT_TRUE(uds.is_ok()) << uds.status().to_string();
+  rpc::Engine uds_engine(**uds, {.name = "auto-uds-server"});
+  EXPECT_EQ(uds_engine.endpoint(), 0u);
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "d0.sock"));
   // An explicit transport that contradicts the hostfile fails loudly.
   EXPECT_FALSE(net::make_fabric(uds_hosts, {.self_id = 0,
                                             .transport = net::Transport::tcp})
                    .is_ok());
 }
 
+TEST_F(TcpFabricTest, MixedHostfileIsRefused) {
+  // One family per hostfile: a stray socket path among host:port lines
+  // (or the reverse) fails create with the first address of the other
+  // family, instead of failing at its first dial.
+  const auto mixed = dir_ / "mixed.txt";
+  ASSERT_TRUE(io::write_file_atomic(mixed, "0 127.0.0.1:9230\n1 " +
+                                               (dir_ / "d1.sock").string() +
+                                               "\n2 " +
+                                               (dir_ / "d2.sock").string() +
+                                               "\n")
+                  .is_ok());
+  auto fabric = net::make_fabric(mixed, {});
+  EXPECT_EQ(fabric.code(), Errc::invalid_argument);
+  EXPECT_NE(fabric.status().to_string().find((dir_ / "d1.sock").string()),
+            std::string::npos)
+      << fabric.status().to_string();
+
+  const auto reversed = dir_ / "reversed.txt";
+  ASSERT_TRUE(io::write_file_atomic(reversed, "0 " +
+                                                  (dir_ / "d0.sock").string() +
+                                                  "\n1 127.0.0.1:9231\n")
+                  .is_ok());
+  auto fabric2 = net::StreamFabric::create(reversed, {.self_id = 0});
+  EXPECT_EQ(fabric2.code(), Errc::invalid_argument);
+  EXPECT_NE(fabric2.status().to_string().find("127.0.0.1:9231"),
+            std::string::npos)
+      << fabric2.status().to_string();
+}
+
 TEST_F(TcpFabricTest, RpcEchoAcrossTcp) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
-  auto server_fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto server_fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(server_fabric.is_ok()) << server_fabric.status().to_string();
   rpc::Engine server(**server_fabric, {.name = "tcp-server"});
   server.register_rpc(1, "echo", [](const net::Message& msg) {
     return Result<std::vector<std::uint8_t>>(msg.payload);
   });
 
-  auto client_fabric = net::TcpFabric::create(*hostfile, {});
+  auto client_fabric = net::StreamFabric::create(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   rpc::Engine client(**client_fabric, {.name = "tcp-client"});
 
@@ -135,10 +178,10 @@ TEST_F(TcpFabricTest, RpcEchoAcrossTcp) {
 }
 
 TEST_F(TcpFabricTest, LargeBulkBothDirections) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
-  auto server_fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto server_fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(server_fabric.is_ok());
   rpc::Engine server(**server_fabric, {.name = "tcp-bulk-server"});
 
@@ -162,7 +205,7 @@ TEST_F(TcpFabricTest, LargeBulkBothDirections) {
     return std::vector<std::uint8_t>{};
   });
 
-  auto client_fabric = net::TcpFabric::create(*hostfile, {});
+  auto client_fabric = net::StreamFabric::create(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   rpc::Engine client(**client_fabric, {.name = "tcp-bulk-client"});
 
@@ -185,10 +228,11 @@ TEST_F(TcpFabricTest, LargeBulkBothDirections) {
 }
 
 TEST_F(TcpFabricTest, FullStackOverTcp) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 2);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 2, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
 
-  std::vector<std::unique_ptr<net::HostedFabric>> daemon_fabrics;
+  std::vector<std::unique_ptr<net::StreamFabric>> daemon_fabrics;
   std::vector<std::unique_ptr<daemon::GekkoDaemon>> daemons;
   for (net::EndpointId id = 0; id < 2; ++id) {
     auto fabric = net::make_fabric(*hostfile, {.self_id = id});
@@ -231,16 +275,16 @@ TEST_F(TcpFabricTest, FullStackOverTcp) {
 }
 
 TEST_F(TcpFabricTest, DaemonRestartRecovery) {
-  // Same scenario as the socket suite's fork-based restart test, but
+  // Same scenario as the UDS suite's fork-based restart test, but
   // fully in-process: tear the daemon (and its fabric, releasing the
   // port) down, restart on the same data root and port, and verify the
   // client's idempotent calls recover over a fresh dial.
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
   const auto root = dir_ / "node0";
 
-  auto daemon_fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto daemon_fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(daemon_fabric.is_ok());
   daemon::DaemonOptions dopts;
   dopts.chunk_size = 4096;
@@ -250,7 +294,7 @@ TEST_F(TcpFabricTest, DaemonRestartRecovery) {
   auto& dials = metrics::Registry::global().counter("net.tcp.dials");
   const std::uint64_t dials_before = dials.value();
 
-  auto client_fabric = net::TcpFabric::create(*hostfile, {});
+  auto client_fabric = net::StreamFabric::create(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   client::ClientOptions copts;
   copts.chunk_size = 4096;
@@ -272,8 +316,7 @@ TEST_F(TcpFabricTest, DaemonRestartRecovery) {
   daemon->reset();
   daemon_fabric->reset();  // releases the listen port
 
-  auto fabric2 =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto fabric2 = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(fabric2.is_ok()) << fabric2.status().to_string();
   auto daemon2 = daemon::GekkoDaemon::start(**fabric2, root, dopts);
   ASSERT_TRUE(daemon2.is_ok()) << daemon2.status().to_string();
@@ -291,7 +334,7 @@ TEST_F(TcpFabricTest, DaemonRestartRecovery) {
   ASSERT_TRUE(mnt.close(*fd2).is_ok());
   // The event loop evicts the dead link on EOF, so the reconnect shows
   // up as a second fresh dial (redials only counts the cached-but-dead
-  // race), like SocketFabric.
+  // race).
   EXPECT_GE(dials.value() - dials_before, 2u);
   (*daemon2)->shutdown();
 }
@@ -301,10 +344,10 @@ TEST_F(TcpFabricTest, ManyClientsFanIn) {
   // daemon-side engine concurrently: exercises accept via the event
   // loop, per-connection reassembly under interleaving, and reply
   // routing by (source, seq) across distinct client endpoint ids.
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
-  auto server_fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto server_fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(server_fabric.is_ok());
   rpc::Engine server(**server_fabric, {.name = "fanin-server"});
   server.register_rpc(1, "echo", [](const net::Message& msg) {
@@ -318,8 +361,8 @@ TEST_F(TcpFabricTest, ManyClientsFanIn) {
   threads.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      auto fabric = net::TcpFabric::create(
-          *hostfile, net::TcpFabricOptions{.event_loops = 1});
+      auto fabric = net::StreamFabric::create(
+          *hostfile, net::MakeFabricOptions{.event_loops = 1});
       if (!fabric) {
         failures.fetch_add(1);
         return;
@@ -343,12 +386,12 @@ TEST_F(TcpFabricTest, ManyClientsFanIn) {
 // serving engine's shutdown tears its fabric down and must wait out the
 // loop threads' running deliveries.
 TEST_F(TcpFabricTest, ShutdownUnderLoadWaitsOutDeliveries) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
-  auto server_fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto server_fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(server_fabric.is_ok()) << server_fabric.status().to_string();
-  auto client_fabric = net::TcpFabric::create(*hostfile, {});
+  auto client_fabric = net::StreamFabric::create(*hostfile, {});
   ASSERT_TRUE(client_fabric.is_ok());
   test::shutdown_under_load(**server_fabric, **client_fabric);
 }
@@ -356,7 +399,8 @@ TEST_F(TcpFabricTest, ShutdownUnderLoadWaitsOutDeliveries) {
 // A daemon whose listen port is taken reports it as an error instead of
 // running an engine with no endpoint.
 TEST_F(TcpFabricTest, DaemonStartFailsWhenPortIsHeld) {
-  auto hostfile = net::TcpFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::tcp);
   ASSERT_TRUE(hostfile.is_ok());
   auto content = io::read_file(*hostfile);
   ASSERT_TRUE(content.is_ok());
@@ -374,8 +418,7 @@ TEST_F(TcpFabricTest, DaemonStartFailsWhenPortIsHeld) {
   ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
   ASSERT_EQ(::listen(holder, 1), 0);
 
-  auto fabric =
-      net::TcpFabric::create(*hostfile, net::TcpFabricOptions{.self_id = 0});
+  auto fabric = net::StreamFabric::create(*hostfile, {.self_id = 0});
   ASSERT_TRUE(fabric.is_ok()) << fabric.status().to_string();
   auto daemon = daemon::GekkoDaemon::start(**fabric, dir_ / "node0", {});
   EXPECT_FALSE(daemon.is_ok());

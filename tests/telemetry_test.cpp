@@ -31,7 +31,7 @@
 #include "daemon/daemon.h"
 #include "net/fabric.h"
 #include "net/http_exporter.h"
-#include "net/socket_fabric.h"
+#include "net/stream_fabric.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 #include "rpc/heartbeat.h"
@@ -670,7 +670,8 @@ class GkfsMonTest : public ::testing::Test {
 
 TEST_F(GkfsMonTest, DetectsDeadDaemonAndRecovery) {
   constexpr std::uint32_t kDaemons = 2;
-  auto hostfile = net::SocketFabric::write_hostfile(dir_, kDaemons);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, kDaemons, net::Transport::uds);
   ASSERT_TRUE(hostfile.is_ok());
   spawn_daemon(*hostfile, 0);
   const pid_t victim = spawn_daemon(*hostfile, 1);
@@ -732,7 +733,8 @@ TEST_F(GkfsMonTest, DetectsDeadDaemonAndRecovery) {
 }
 
 TEST_F(GkfsMonTest, MetricsPortServesStrictlyParsablePrometheus) {
-  auto hostfile = net::SocketFabric::write_hostfile(dir_, 1);
+  auto hostfile =
+      net::StreamFabric::write_hostfile(dir_, 1, net::Transport::uds);
   ASSERT_TRUE(hostfile.is_ok());
   // Ephemeral port: the daemon prints the bound port to its log.
   spawn_daemon(*hostfile, 0, "--metrics-port", "0");
@@ -740,7 +742,7 @@ TEST_F(GkfsMonTest, MetricsPortServesStrictlyParsablePrometheus) {
 
   // Drive real load so handler histograms are occupied.
   {
-    auto client_fabric = net::SocketFabric::create(*hostfile, {});
+    auto client_fabric = net::StreamFabric::create(*hostfile, {});
     ASSERT_TRUE(client_fabric.is_ok());
     client::Client client(**client_fabric, {0});
     for (int i = 0; i < 4; ++i) {

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/flight_recorder.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 

@@ -45,7 +45,7 @@
 #include "common/flight_recorder.h"
 #include "common/health.h"
 #include "common/metrics_history.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 #include "rpc/heartbeat.h"

@@ -34,7 +34,7 @@
 #include "common/metrics.h"
 #include "common/metrics_history.h"
 #include "common/trace.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 

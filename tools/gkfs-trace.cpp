@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 #include "proto/messages.h"
 #include "rpc/engine.h"
 

@@ -44,7 +44,7 @@
 
 #include "common/crash.h"
 #include "daemon/daemon.h"
-#include "net/transport.h"
+#include "net/stream_fabric.h"
 
 namespace {
 
